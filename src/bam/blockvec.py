@@ -110,10 +110,6 @@ class BlockVector:
         return f"BlockVector({parts})"
 
 
-def zeros_like(v: BlockVector) -> BlockVector:
-    return BlockVector([(bid, np.zeros(a.size)) for bid, a in zip(v.ids, v.arrays)])
-
-
 def norm_sq(v: BlockVector) -> float:
     """Squared Euclidean norm over all blocks."""
     return float(sum(a @ a for a in v.arrays))

@@ -15,20 +15,19 @@ Config schema (unknown fields are rejected):
     "preset": str | "strategies": [{"kind": str, "alpha_rule": {"kind": str, "value": num}}],
     "presets": [str, ...],            # compare only
     "solver": {"max_outer_iter": int, "residual_tol": num, "step_tol": num,
-               "inner_tol": num, "inner_max_iter": int, "record_every": int,
-               "seed": int},
+               "inner_tol": num, "inner_max_iter": int, "record_every": int},
     "checks": [str, ...],
     "output": {"trace": str, "report": str}
   }
 
 "x0" is "default" (problem-specific start), "zeros", or a {block-id: [..]}
-mapping. Environment: BAM_LOG={error|info|debug} sets log verbosity.
+mapping. ``--seed N`` overrides problem.seed. ``compare`` runs its presets one
+after another. Environment: BAM_LOG={error|info|debug} sets log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -40,8 +39,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .blockvec import BlockVector
-from .bregman import (
-    check_generator_convexity,
+from .bregman import check_generator_convexity
+from .bregman import (  # noqa: F401 -- re-exported; perfbench's tracer patches these names
     make_augmented_generator,
     make_linearization_generator,
     make_zero_generator,
@@ -50,9 +49,9 @@ from .driver import (
     AlphaRule,
     BlockStrategy,
     IterateTrace,
-    PRESET_NAMES,
     RunResult,
     SolverConfig,
+    make_generator,
     resolve_strategy_preset,
     run,
     validate_strategies,
@@ -108,52 +107,64 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _build_sparse_group(params: dict, seed: int) -> Problem:
+    n1, n2 = int(params["n1"]), int(params["n2"])
+    if "groups" in params:
+        groups = params["groups"]
+    else:
+        gs = int(params.get("group_size", 1))
+        if n2 % gs != 0:
+            raise ConfigError(f"group_size {gs} does not divide n2 = {n2}")
+        groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
+    a_matrix = None
+    if "a_matrix_csv" in params:
+        a_matrix = np.loadtxt(params["a_matrix_csv"], delimiter=",", ndmin=2)
+    return build_sparse_group_instance(
+        n1,
+        n2,
+        groups,
+        seed=seed,
+        lambda1=float(params.get("lambda1", 0.1)),
+        lambda2=float(params.get("lambda2", 0.1)),
+        a_matrix=a_matrix,
+    )
+
+
+# problem name -> (allowed parameter keys, builder(parameters, seed)). The
+# entries call the builders by module-level name, so a builder replaced on this
+# module (as perfbench's tracer does) is the one that runs.
+PROBLEMS = {
+    "separable_quadratic": (set(), lambda params, seed: build_separable_quadratic()),
+    "separable_quadratic_badgrad": (
+        set(),
+        lambda params, seed: build_separable_quadratic_badgrad(),
+    ),
+    "sparse_group": (
+        {"n1", "n2", "groups", "group_size", "lambda1", "lambda2", "a_matrix_csv"},
+        _build_sparse_group,
+    ),
+    "multiblock_quadratic": (
+        {"n_blocks"},
+        lambda params, seed: build_multiblock_quadratic(int(params.get("n_blocks", 3)), seed=seed),
+    ),
+}
+
+
 def build_problem(section: dict, seed_override=None) -> Problem:
     if not isinstance(section, dict) or "name" not in section:
         raise ConfigError("config needs problem.name")
     _require_keys(section, {"name", "parameters", "seed", "x0"}, "problem")
     name = section["name"]
+    if name not in PROBLEMS:
+        raise ConfigError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
+    allowed, build = PROBLEMS[name]
     params = dict(section.get("parameters", {}))
+    _require_keys(params, allowed, "problem.parameters")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
     try:
-        if name == "separable_quadratic":
-            _require_keys(params, set(), "problem.parameters")
-            return build_separable_quadratic()
-        if name == "separable_quadratic_badgrad":
-            _require_keys(params, set(), "problem.parameters")
-            return build_separable_quadratic_badgrad()
-        if name == "sparse_group":
-            _require_keys(
-                params,
-                {"n1", "n2", "groups", "group_size", "lambda1", "lambda2", "a_matrix_csv"},
-                "problem.parameters",
-            )
-            n1, n2 = int(params["n1"]), int(params["n2"])
-            if "groups" in params:
-                groups = params["groups"]
-            else:
-                gs = int(params.get("group_size", 1))
-                if n2 % gs != 0:
-                    raise ConfigError(f"group_size {gs} does not divide n2 = {n2}")
-                groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
-            a_matrix = None
-            if "a_matrix_csv" in params:
-                a_matrix = np.loadtxt(params["a_matrix_csv"], delimiter=",", ndmin=2)
-            return build_sparse_group_instance(
-                n1,
-                n2,
-                groups,
-                seed=seed,
-                lambda1=float(params.get("lambda1", 0.1)),
-                lambda2=float(params.get("lambda2", 0.1)),
-                a_matrix=a_matrix,
-            )
-        if name == "multiblock_quadratic":
-            _require_keys(params, {"n_blocks"}, "problem.parameters")
-            return build_multiblock_quadratic(int(params.get("n_blocks", 3)), seed=seed)
+        return build(params, seed)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad parameters for problem {name!r}: {e}") from e
-    raise ConfigError(f"unknown problem name {name!r}")
 
 
 def resolve_x0(p: Problem, section: dict) -> BlockVector:
@@ -192,7 +203,7 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
     raise ConfigError("config needs 'preset' or 'strategies'")
 
 
-def build_solver_config(cfg: dict, seed_override=None) -> SolverConfig:
+def build_solver_config(cfg: dict) -> SolverConfig:
     section = dict(cfg.get("solver", {}))
     _require_keys(
         section,
@@ -203,12 +214,9 @@ def build_solver_config(cfg: dict, seed_override=None) -> SolverConfig:
             "inner_tol",
             "inner_max_iter",
             "record_every",
-            "seed",
         },
         "solver",
     )
-    if seed_override is not None:
-        section["seed"] = seed_override
     try:
         return SolverConfig(**section)
     except (BamError, TypeError) as e:
@@ -321,7 +329,7 @@ def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
 def cmd_run(cfg: dict, args) -> int:
     p = build_problem(cfg["problem"], args.seed)
     strategies, preset = build_strategies(cfg, p)
-    solver_cfg = build_solver_config(cfg, args.seed)
+    solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
     validate_strategies(p, strategies, x0)
     trace_path, report_path = _out_paths(cfg, args.out_dir)
@@ -354,7 +362,7 @@ def cmd_compare(cfg: dict, args) -> int:
     if not isinstance(presets, list) or len(presets) < 2:
         raise ConfigError("compare needs a 'presets' list with at least 2 entries")
     p = build_problem(cfg["problem"], args.seed)
-    solver_cfg = build_solver_config(cfg, args.seed)
+    solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
     per_preset = {}
     for name in presets:
@@ -363,9 +371,7 @@ def cmd_compare(cfg: dict, args) -> int:
         per_preset[name] = strategies
     trace_path, report_path = _out_paths(cfg, args.out_dir)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(presets)) as pool:
-        futures = {name: pool.submit(run, p, per_preset[name], solver_cfg, x0) for name in presets}
-        results = {name: futures[name].result() for name in presets}
+    results = {name: run(p, per_preset[name], solver_cfg, x0) for name in presets}
 
     chunks = []
     summary = []
@@ -435,23 +441,8 @@ def _prox_spotcheck(seed: int = 0, cases: int = 10) -> diag.CheckReport:
 def _generator_convexity_reports(p: Problem, strategies, x0) -> list[diag.CheckReport]:
     reports = []
     for i, s in enumerate(strategies):
-        dim = p.block_dims[i]
-        if s.kind == "exact":
-            gen = make_zero_generator(dim)
-        elif s.kind == "augmented":
-            gen = make_augmented_generator(s.alpha_rule.resolve(p.coupling.partial_lipschitz(x0, i)), dim)
-        elif s.kind == "linearized":
-            L_i = float(p.coupling.partial_lipschitz(x0, i))
-            alpha = s.alpha_rule.resolve(L_i)
-            gen = make_linearization_generator(
-                alpha,
-                lambda u, i=i: p.coupling.value(x0.with_block(i, u)),
-                lambda u, i=i: p.coupling.partial_grad(x0.with_block(i, u), i),
-                L_i,
-            )
-        else:
-            continue
-        rep = check_generator_convexity(gen, dim, probes=30, seed=0, radius=2.0)
+        gen, _ = make_generator(s, p, x0, i, 0)
+        rep = check_generator_convexity(gen, p.block_dims[i], probes=30, seed=0, radius=2.0)
         reports.append(
             diag.CheckReport(
                 f"generator_convexity[{p.block_ids[i]}]",
@@ -466,7 +457,7 @@ def _generator_convexity_reports(p: Problem, strategies, x0) -> list[diag.CheckR
 def cmd_check(cfg: dict, args) -> int:
     p = build_problem(cfg["problem"], args.seed)
     strategies, preset = build_strategies(cfg, p)
-    solver_cfg = build_solver_config(cfg, args.seed)
+    solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
     validate_strategies(p, strategies, x0)
     trace_path, report_path = _out_paths(cfg, args.out_dir)
@@ -514,7 +505,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to the experiment config JSON")
         sp.add_argument("--out-dir", default=".", help="directory for trace/report files")
-        sp.add_argument("--seed", type=int, default=None, help="override problem and solver seeds")
+        sp.add_argument("--seed", type=int, default=None, help="override the problem seed")
         sp.add_argument("--quiet", action="store_true", help="only log errors")
     args = parser.parse_args(argv)
     _setup_logging(args.quiet)

@@ -39,7 +39,7 @@ from .prox import inner_exact_min
 
 DIVERGENCE_NORM = 1e12
 
-PRESET_NAMES = ("am", "plam", "aam", "am-plam", "plam-am", "custom")
+PRESET_NAMES = ("am", "plam", "aam", "am-plam", "plam-am")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class SolverConfig:
     inner_tol: float = 1e-10
     inner_max_iter: int = 5000
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iter < 1:
@@ -119,7 +118,9 @@ class SweepRecord:
 
     @property
     def inner_flag(self) -> str:
-        return "ok" if all(f in ("ok", "converged") for f in self.inner_flags) else "hit-cap"
+        """"ok", or the distinct non-ok block flags in block order joined by "+"."""
+        bad = [f for f in self.inner_flags if f not in ("ok", "converged")]
+        return "+".join(dict.fromkeys(bad)) or "ok"
 
 
 @dataclass
@@ -163,8 +164,6 @@ def resolve_strategy_preset(name: str, n_blocks: int = 2) -> list[BlockStrategy]
         return [exact] + [lin] * (n_blocks - 1)
     if name == "plam-am":
         return [lin] + [exact] * (n_blocks - 1)
-    if name == "custom":
-        raise ConfigurationError("preset 'custom' requires explicit per-block strategies")
     raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
@@ -227,24 +226,49 @@ def _frozen_partial(p: Problem, x: BlockVector, i: int):
     return h_value, h_grad
 
 
+def make_generator(
+    strategy: BlockStrategy, p: Problem, x: BlockVector, i: int, k: int
+) -> tuple[BregmanGenerator, Optional[float]]:
+    """Block i's generator at sweep k, with the other blocks frozen at ``x``.
+
+    Returns the generator and its quadratic weight: 0 for Exact, alpha_k for
+    Augmented and Linearized, None for Custom (a general generator that only
+    the inner solver can handle).
+    """
+    if strategy.kind == "exact":
+        return make_zero_generator(x.block(i).size), 0.0
+    if strategy.kind == "custom":
+        return strategy.generator_factory(k, x, i), None
+    L_i = float(p.coupling.partial_lipschitz(x, i))
+    alpha = strategy.alpha_rule.resolve(L_i)
+    if strategy.kind == "augmented":
+        return make_augmented_generator(alpha, x.block(i).size), alpha
+    if alpha <= L_i:
+        raise ConfigurationError(
+            f"block {p.block_ids[i]!r}: alpha_k = {alpha:g} must exceed L_i = {L_i:g}"
+        )
+    h_value, h_grad = _frozen_partial(p, x, i)
+    return make_linearization_generator(alpha, h_value, h_grad, L_i), alpha
+
+
 def _solve_with_generator(
     p: Problem,
     x: BlockVector,
     i: int,
     gen: BregmanGenerator,
-    aug_alpha: Optional[float],
+    weight: Optional[float],
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, str]:
     """Solve block i's subproblem with the given generator.
 
-    ``aug_alpha`` carries the quadratic weight for zero/augmented generators
-    so closed-form coupled minimizers can be used; None means a general
-    generator that must go through the inner solver.
+    ``weight`` is the generator's quadratic weight from ``make_generator``;
+    with a weight, closed-form coupled minimizers can be used, and None means
+    a general generator that must go through the inner solver.
     """
     term = p.terms[i]
     anchor = x.block(i)
-    if aug_alpha is not None and term.exact_coupled_min is not None:
-        return np.asarray(term.exact_coupled_min(x, i, aug_alpha), dtype=float).ravel(), "ok"
+    if weight is not None and term.exact_coupled_min is not None:
+        return np.asarray(term.exact_coupled_min(x, i, weight), dtype=float).ravel(), "ok"
 
     h_value, h_grad = _frozen_partial(p, x, i)
     L_i = float(p.coupling.partial_lipschitz(x, i))
@@ -290,31 +314,14 @@ def step_block(
     """
     anchor = x.block(i)
     term = p.terms[i]
-    if strategy.kind == "exact":
-        gen = make_zero_generator(anchor.size)
-        new, flag = _solve_with_generator(p, x, i, gen, 0.0, cfg)
-    elif strategy.kind == "augmented":
-        L_i = float(p.coupling.partial_lipschitz(x, i))
-        alpha = strategy.alpha_rule.resolve(L_i)
-        gen = make_augmented_generator(alpha, anchor.size)
-        new, flag = _solve_with_generator(p, x, i, gen, alpha, cfg)
-    elif strategy.kind == "linearized":
-        L_i = float(p.coupling.partial_lipschitz(x, i))
-        alpha = strategy.alpha_rule.resolve(L_i)
-        if alpha <= L_i:
-            raise ConfigurationError(
-                f"block {p.block_ids[i]!r}: alpha_k = {alpha:g} must exceed L_i = {L_i:g}"
-            )
-        h_value, h_grad = _frozen_partial(p, x, i)
-        gen = make_linearization_generator(alpha, h_value, h_grad, L_i)
+    gen, weight = make_generator(strategy, p, x, i, k)
+    if strategy.kind == "linearized":
+        # the linearization generator turns the subproblem into one prox-gradient step
         g = np.asarray(p.coupling.partial_grad(x, i), dtype=float).ravel()
-        new = np.asarray(term.prox(anchor - g / alpha, 1.0 / alpha), dtype=float).ravel()
+        new = np.asarray(term.prox(anchor - g / weight, 1.0 / weight), dtype=float).ravel()
         flag = "ok"
-    elif strategy.kind == "custom":
-        gen = strategy.generator_factory(k, x, i)
-        new, flag = _solve_with_generator(p, x, i, gen, None, cfg)
-    else:  # pragma: no cover - guarded by BlockStrategy.__post_init__
-        raise ConfigurationError(f"unknown strategy kind {strategy.kind!r}")
+    else:
+        new, flag = _solve_with_generator(p, x, i, gen, weight, cfg)
 
     # The subproblem value at the accepted point must not exceed its value at
     # the anchor (where the Bregman term vanishes); reject ascent steps.

@@ -122,14 +122,14 @@ def l1_certificate(lam: float) -> Callable[[Array, Array], float]:
     return cert
 
 
-def group_l2_certificate(lam: float, groups: Sequence[Sequence[int]], n: Optional[int] = None) -> Callable[[Array, Array], float]:
-    group_idx = None if n is None else validate_groups(groups, n)
+def group_l2_certificate(lam: float, group_idx: Sequence[Array]) -> Callable[[Array, Array], float]:
+    """Certificate for lam*sum_g ||x_g|| over pre-validated group index arrays."""
 
     def cert(xi: Array, g: Array) -> float:
         xi = np.asarray(xi, dtype=float).ravel()
         g = np.asarray(g, dtype=float).ravel()
         sq = 0.0
-        for idx in (group_idx if group_idx is not None else validate_groups(groups, xi.size)):
+        for idx in group_idx:
             xg, gg = xi[idx], g[idx]
             nx = float(np.linalg.norm(xg))
             if nx > 0.0:
@@ -150,25 +150,6 @@ def smooth_certificate(grad: Callable[[Array], Array]) -> Callable[[Array, Array
 
 # --------------------------------------------------------------------------
 # built-in instances
-
-
-def power_iteration_sym(M: Array, seed: int = 0, tol: float = 1e-8, max_iter: int = 1000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
 
 
 def build_separable_quadratic() -> Problem:
@@ -237,8 +218,9 @@ def build_sparse_group_instance(
     """The l1 / group-l2 regression model lam1*||y||_1 + ||Ay-z||^2 + lam2*||z||_{1,2}.
 
     A is n2 x n1 with i.i.d. standard normal entries drawn from ``seed``
-    (or supplied explicitly for reproducibility). L1 = 2*lam_max(A^T A) via
-    power iteration; L2 = 2 exactly. The z-subproblem
+    (or supplied explicitly for reproducibility). L1 = 2*lam_max(A^T A), from a
+    dense symmetric eigensolve of the smaller of the Gram matrices A^T A and
+    A A^T (they share their nonzero eigenvalues); L2 = 2 exactly. The z-subproblem
 
         min_z ||Ay - z||^2 + lam2*||z||_{1,2} + (alpha/2)||z - z_k||^2
 
@@ -258,7 +240,8 @@ def build_sparse_group_instance(
     else:
         A = np.random.default_rng(seed).standard_normal((n2, n1))
 
-    lam_max = power_iteration_sym(A.T @ A, seed=seed)
+    gram = A @ A.T if n2 <= n1 else A.T @ A
+    lam_max = float(np.linalg.eigvalsh(gram)[-1])
     L1 = 2.0 * lam_max
     L2 = 2.0
 
@@ -293,7 +276,7 @@ def build_sparse_group_instance(
         * float(sum(np.linalg.norm(np.asarray(u, dtype=float).ravel()[idx]) for idx in group_idx)),
         prox=lambda v, tau: group_shrink(np.asarray(v, dtype=float).ravel(), group_idx, tau * lambda2),
         exact_coupled_min=z_exact,
-        subdiff_certificate=group_l2_certificate(lambda2, groups, n=n2),
+        subdiff_certificate=group_l2_certificate(lambda2, group_idx),
     )
 
     x0_rng = np.random.default_rng([seed, 1])
@@ -480,11 +463,3 @@ def estimate_partial_lipschitz(
     if declared is not None and math.isfinite(declared):
         est = min(est, float(declared))
     return est
-
-
-PROBLEM_BUILDERS: dict[str, Callable[..., Problem]] = {
-    "separable_quadratic": build_separable_quadratic,
-    "sparse_group": build_sparse_group_instance,
-    "multiblock_quadratic": build_multiblock_quadratic,
-    "separable_quadratic_badgrad": build_separable_quadratic_badgrad,
-}

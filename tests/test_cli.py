@@ -232,6 +232,21 @@ class TestDeterminism:
             outs.append(((d / "trace.csv").read_bytes(), (d / "report.json").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_compare_runs_produce_identical_bytes(self, tmp_path):
+        cfg = {
+            "problem": {"name": "multiblock_quadratic", "parameters": {"n_blocks": 5}, "seed": 2},
+            "presets": ["am", "plam", "aam", "am-plam", "plam-am"],
+            "solver": {"max_outer_iter": 300, "residual_tol": 1e-10, "step_tol": 0.0},
+        }
+        outs = []
+        for sub in ("a", "b"):
+            d = tmp_path / sub
+            d.mkdir()
+            cfg_path = write_config(d, cfg)
+            assert main(["compare", cfg_path, "--out-dir", str(d), "--quiet"]) == 0
+            outs.append(((d / "trace.csv").read_bytes(), (d / "report.json").read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = {
             "problem": {

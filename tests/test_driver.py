@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def make_unbounded_problem(prox):
         block_ids=("a", "b"),
         block_dims=(1, 1),
         default_x0=BlockVector([("a", [1.0]), ("b", [1.0])]),
+    )
+
+
+def make_bad_prox_problem():
+    """Convex terms f(u) = u^2 with a deliberately broken prox that always moves uphill."""
+    p = make_unbounded_problem(lambda v, tau: v + np.array([10.0]))
+    term = BlockTerm(value=lambda u: float(u @ u), prox=lambda v, tau: v + np.array([10.0]))
+    return Problem(
+        name="badprox",
+        coupling=p.coupling,
+        terms=(term, term),
+        block_ids=p.block_ids,
+        block_dims=p.block_dims,
+        default_x0=p.default_x0,
     )
 
 
@@ -80,23 +96,24 @@ class TestStepBlock:
             step_block(sep_quad, sep_quad.zeros(), 0, strat, 1, cfg)
 
     def test_ascent_step_is_rejected(self):
-        # a deliberately broken prox that always moves uphill
-        p = make_unbounded_problem(lambda v, tau: v + np.array([10.0]))
-        # redefine terms as convex so the move really is ascent
-        term = BlockTerm(value=lambda u: float(u @ u), prox=lambda v, tau: v + np.array([10.0]))
-        p = Problem(
-            name="badprox",
-            coupling=p.coupling,
-            terms=(term, term),
-            block_ids=p.block_ids,
-            block_dims=p.block_dims,
-            default_x0=p.default_x0,
-        )
+        p = make_bad_prox_problem()
         cfg = SolverConfig()
         strat = BlockStrategy("linearized", AlphaRule("constant", 1.0))
         new, _, flag = step_block(p, p.default_x0, 0, strat, 1, cfg)
         assert flag == "ascent-rejected"
         np.testing.assert_array_equal(new, p.default_x0.block(0))
+
+    def test_rejected_ascent_is_reported_in_the_sweep_record(self):
+        p = make_bad_prox_problem()
+        strat = BlockStrategy("linearized", AlphaRule("constant", 1.0))
+        res = run(p, [strat, strat], SolverConfig(max_outer_iter=1), p.default_x0)
+        assert res.trace.records[-1].inner_flags == ("ascent-rejected", "ascent-rejected")
+        assert res.trace.records[-1].inner_flag == "ascent-rejected"
+        mixed = replace(
+            res.trace.records[-1], inner_flags=("hit-cap", "ok", "ascent-rejected", "hit-cap")
+        )
+        assert mixed.inner_flag == "hit-cap+ascent-rejected"
+        assert replace(mixed, inner_flags=("ok", "converged")).inner_flag == "ok"
 
 
 class TestPresets:
