@@ -14,6 +14,7 @@ from .bregman import (
 )
 from .driver import (
     AlphaRule,
+    BlockStep,
     BlockStrategy,
     IterateTrace,
     RunResult,
@@ -36,6 +37,7 @@ from .prox import group_soft_threshold, inner_exact_min, soft_threshold
 
 __all__ = [
     "AlphaRule",
+    "BlockStep",
     "BlockStrategy",
     "BlockTerm",
     "BlockVector",

@@ -33,6 +33,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,14 @@ class ConfigError(ConfigurationError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _require_keys(section, allowed: set[str], where: str) -> dict:
+    """A copy of ``section`` after checking that it is an object with only ``allowed`` keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    return dict(section)
 
 
 def load_config(path: str) -> dict:
@@ -99,12 +104,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path!r} line {e.lineno}: {e.msg}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(
+    return _require_keys(
         cfg, {"problem", "preset", "strategies", "presets", "solver", "checks", "output"}, "config"
     )
-    return cfg
 
 
 def _build_sparse_group(params: dict, seed: int) -> Problem:
@@ -113,8 +115,8 @@ def _build_sparse_group(params: dict, seed: int) -> Problem:
         groups = params["groups"]
     else:
         gs = int(params.get("group_size", 1))
-        if n2 % gs != 0:
-            raise ConfigError(f"group_size {gs} does not divide n2 = {n2}")
+        if gs < 1 or n2 % gs != 0:
+            raise ConfigError(f"group_size {gs} must be >= 1 and divide n2 = {n2}")
         groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
     a_matrix = None
     if "a_matrix_csv" in params:
@@ -151,19 +153,16 @@ PROBLEMS = {
 
 
 def build_problem(section: dict, seed_override=None) -> Problem:
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("config needs problem.name")
-    _require_keys(section, {"name", "parameters", "seed", "x0"}, "problem")
-    name = section["name"]
-    if name not in PROBLEMS:
+    section = _require_keys(section, {"name", "parameters", "seed", "x0"}, "problem")
+    name = section.get("name")
+    if not isinstance(name, str) or name not in PROBLEMS:
         raise ConfigError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
     allowed, build = PROBLEMS[name]
-    params = dict(section.get("parameters", {}))
-    _require_keys(params, allowed, "problem.parameters")
+    params = _require_keys(section.get("parameters", {}), allowed, "problem.parameters")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
     try:
         return build(params, seed)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OSError) as e:
         raise ConfigError(f"bad parameters for problem {name!r}: {e}") from e
 
 
@@ -177,7 +176,10 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
         missing = set(p.block_ids) - set(kind)
         if missing:
             raise ConfigError(f"x0 mapping is missing blocks: {sorted(missing)}")
-        return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
+        try:
+            return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad x0 mapping: {e}") from e
     raise ConfigError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
 
 
@@ -193,30 +195,21 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
             raise ConfigError("'strategies' must be a list")
         out = []
         for i, s in enumerate(specs):
-            _require_keys(s, {"kind", "alpha_rule"}, f"strategies[{i}]")
+            s = _require_keys(s, {"kind", "alpha_rule"}, f"strategies[{i}]")
             rule = None
             if "alpha_rule" in s:
-                _require_keys(s["alpha_rule"], {"kind", "value"}, f"strategies[{i}].alpha_rule")
-                rule = AlphaRule(s["alpha_rule"]["kind"], float(s["alpha_rule"]["value"]))
-            out.append(BlockStrategy(s["kind"], alpha_rule=rule))
+                r = _require_keys(s["alpha_rule"], {"kind", "value"}, f"strategies[{i}].alpha_rule")
+                try:
+                    rule = AlphaRule(r.get("kind"), float(r.get("value")))
+                except (TypeError, ValueError) as e:
+                    raise ConfigError(f"bad strategies[{i}].alpha_rule: {e}") from e
+            out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
         return out, "custom"
     raise ConfigError("config needs 'preset' or 'strategies'")
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
-    section = dict(cfg.get("solver", {}))
-    _require_keys(
-        section,
-        {
-            "max_outer_iter",
-            "residual_tol",
-            "step_tol",
-            "inner_tol",
-            "inner_max_iter",
-            "record_every",
-        },
-        "solver",
-    )
+    section = _require_keys(cfg.get("solver", {}), {f.name for f in fields(SolverConfig)}, "solver")
     try:
         return SolverConfig(**section)
     except (BamError, TypeError) as e:
@@ -293,8 +286,6 @@ def run_checks(names, p: Problem, result: RunResult, x0: BlockVector) -> list[di
                     },
                 )
             )
-        else:
-            raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
     return reports
 
 
@@ -318,16 +309,26 @@ def _write_report(report: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _check_names(cfg: dict) -> list:
+    names = cfg.get("checks", [])
+    if not isinstance(names, list) or not all(n in CHECK_NAMES for n in names):
+        raise ConfigError(f"'checks' must be a list of names from {CHECK_NAMES}, got {names!r}")
+    return names
+
+
 def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
-    section = dict(cfg.get("output", {}))
-    _require_keys(section, {"trace", "report"}, "output")
+    section = _require_keys(cfg.get("output", {}), {"trace", "report"}, "output")
+    names = section.get("trace", "trace.csv"), section.get("report", "report.json")
+    if not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"output file names must be strings, got {names!r}")
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    return base / section.get("trace", "trace.csv"), base / section.get("report", "report.json")
+    return base / names[0], base / names[1]
 
 
 def cmd_run(cfg: dict, args) -> int:
-    p = build_problem(cfg["problem"], args.seed)
+    p = build_problem(cfg.get("problem"), args.seed)
+    checks = _check_names(cfg)
     strategies, preset = build_strategies(cfg, p)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
@@ -335,7 +336,7 @@ def cmd_run(cfg: dict, args) -> int:
     trace_path, report_path = _out_paths(cfg, args.out_dir)
 
     result = run(p, strategies, solver_cfg, x0)
-    reports = run_checks(cfg.get("checks", []), p, result, x0)
+    reports = run_checks(checks, p, result, x0)
     write_trace_csv(result.trace, trace_path)
     _write_report(_report_json(p, preset, result, reports), report_path)
 
@@ -361,7 +362,7 @@ def cmd_compare(cfg: dict, args) -> int:
     presets = cfg.get("presets")
     if not isinstance(presets, list) or len(presets) < 2:
         raise ConfigError("compare needs a 'presets' list with at least 2 entries")
-    p = build_problem(cfg["problem"], args.seed)
+    p = build_problem(cfg.get("problem"), args.seed)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
     per_preset = {}
@@ -455,7 +456,8 @@ def _generator_convexity_reports(p: Problem, strategies, x0) -> list[diag.CheckR
 
 
 def cmd_check(cfg: dict, args) -> int:
-    p = build_problem(cfg["problem"], args.seed)
+    p = build_problem(cfg.get("problem"), args.seed)
+    names = _check_names(cfg) or CHECK_NAMES
     strategies, preset = build_strategies(cfg, p)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
@@ -467,14 +469,6 @@ def cmd_check(cfg: dict, args) -> int:
     reports.append(_prox_spotcheck())
 
     result = run(p, strategies, solver_cfg, x0)
-    names = cfg.get("checks") or [
-        "monotone_descent",
-        "sufficient_decrease",
-        "residual_bound",
-        "residual_vanishes",
-        "critical_point",
-        "finite_length",
-    ]
     reports.extend(run_checks([n for n in names if n != "gradcheck"], p, result, x0))
     write_trace_csv(result.trace, trace_path)
     _write_report(_report_json(p, preset, result, reports), report_path)

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockvec import BlockVector
-from .bregman import BregmanGenerator
 from .errors import ConfigurationError, ParameterError
 from .problem import Problem
 
@@ -168,37 +167,27 @@ def check_sufficient_decrease(trace, nu_min: Optional[float] = None) -> CheckRep
 
 def subgradient_residual(
     p: Problem,
-    x_prev: BlockVector,
     x_next: BlockVector,
-    generators: Sequence[BregmanGenerator],
+    corrections: Sequence[np.ndarray],
 ) -> tuple[BlockVector, float]:
     """Explicit subgradient element assembled from the sweep's optimality conditions.
 
-    Block i of the vector is
+    Block i of the vector is grad_i H(x^{k+1}) + c_i, where the correction
 
-        grad_i H(x^{k+1}) - grad_i H(mixed_i)
-        + grad phi_i^k(x_i^k) - grad phi_i^k(x_i^{k+1}),
+        c_i = grad phi_i^k(x_i^k) - grad phi_i^k(x_i^{k+1}) - grad_i H(mixed_i)
 
-    where mixed_i freezes blocks <= i at their new values and blocks > i at
-    their old values -- exactly the point block i's subproblem was solved at.
-    Valid as a subgradient only when the subproblems were solved to tolerance.
+    is ``driver.BlockStep.correction`` and mixed_i, blocks <= i new and > i
+    old, is the point block i's subproblem was solved at. Valid as a
+    subgradient only when the subproblems were solved to tolerance.
     """
-    if len(generators) != p.n_blocks:
-        raise ConfigurationError("one generator per block is required")
-    if not (p.matches(x_prev) and p.matches(x_next)):
-        raise ConfigurationError("iterates do not match the problem structure")
-    blocks = []
-    for i in range(p.n_blocks):
-        mixed = x_next
-        for j in range(i + 1, p.n_blocks):
-            mixed = mixed.with_block(j, x_prev.block(j))
-        g_full = np.asarray(p.coupling.partial_grad(x_next, i), dtype=float).ravel()
-        g_mixed = np.asarray(p.coupling.partial_grad(mixed, i), dtype=float).ravel()
-        gen = generators[i]
-        g_old = np.asarray(gen.gradient(x_prev.block(i)), dtype=float).ravel()
-        g_new = np.asarray(gen.gradient(x_next.block(i)), dtype=float).ravel()
-        blocks.append((p.block_ids[i], g_full - g_mixed + g_old - g_new))
-    v = BlockVector(blocks)
+    if len(corrections) != p.n_blocks:
+        raise ConfigurationError("one correction per block is required")
+    if not p.matches(x_next):
+        raise ConfigurationError("iterate does not match the problem structure")
+    v = BlockVector(
+        (bid, np.asarray(p.coupling.partial_grad(x_next, i), dtype=float).ravel() + c)
+        for i, (bid, c) in enumerate(zip(p.block_ids, corrections))
+    )
     return v, math.sqrt(sum(float(a @ a) for a in v.arrays))
 
 

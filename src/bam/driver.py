@@ -13,14 +13,16 @@ with the generator phi_i^k chosen by the block's strategy:
 * Custom      -> user-supplied generator factory, inner prox-gradient solve.
 
 Iteration-dependent generators are rebuilt each step, freezing the newest
-values of the other blocks.
+values of the other blocks. ``step_block`` evaluates one update once into a
+``BlockStep``; ``run`` carries H and the f_i between updates and passes the
+corrections c_i to ``diagnostics.subgradient_residual(p, x_next, corrections)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,12 +89,12 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.max_outer_iter < 1:
-            raise ParameterError("max_outer_iter must be >= 1")
-        if min(self.residual_tol, self.step_tol, self.inner_tol) < 0:
-            raise ParameterError("tolerances must be nonnegative")
-        if self.record_every < 1:
-            raise ParameterError("record_every must be >= 1")
+        for name in ("max_outer_iter", "inner_max_iter", "record_every"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
+        if not all(t >= 0 for t in (self.residual_tol, self.step_tol, self.inner_tol)):
+            raise ParameterError("tolerances must be nonnegative numbers")
 
 
 @dataclass
@@ -174,44 +176,25 @@ def validate_strategies(p: Problem, strategies: Sequence[BlockStrategy], x0: Blo
             f"{len(strategies)} strategies for {p.n_blocks} blocks"
         )
     for i, s in enumerate(strategies):
-        bid = p.block_ids[i]
         term = p.terms[i]
+        if s.kind in ("linearized", "augmented") and s.alpha_rule is None:
+            missing = "an alpha rule"
+        elif s.kind == "custom" and s.generator_factory is None:
+            missing = "a generator factory"
+        elif s.kind in ("linearized", "custom") and term.prox is None:
+            missing = "a prox oracle"
+        elif term.exact_coupled_min is None and term.prox is None:
+            missing = "exact_coupled_min or a prox oracle"
+        else:
+            missing = ""
+        if missing:
+            raise ConfigurationError(f"block {p.block_ids[i]!r}: {s.kind} needs {missing}")
         if s.kind == "linearized":
-            if s.alpha_rule is None:
-                raise ConfigurationError(f"block {bid!r}: Linearized needs an alpha rule")
-            if term.prox is None:
-                raise ConfigurationError(f"block {bid!r}: Linearized needs a prox oracle")
-            L_i = float(p.coupling.partial_lipschitz(x0, i))
-            if s.alpha_rule.kind == "lipschitz_factor" and s.alpha_rule.value <= 1.0:
-                raise ConfigurationError(
-                    f"block {bid!r}: Linearized needs gamma > 1 so that "
-                    f"alpha_k > L_i = {L_i:g} (generator convexity requirement)"
-                )
-            if s.alpha_rule.kind == "constant" and s.alpha_rule.value <= L_i:
-                raise ConfigurationError(
-                    f"block {bid!r}: constant alpha = {s.alpha_rule.value:g} must exceed "
-                    f"the partial Lipschitz constant L_i = {L_i:g} "
-                    f"(generator convexity requirement)"
-                )
-        elif s.kind == "augmented":
-            if s.alpha_rule is None:
-                raise ConfigurationError(f"block {bid!r}: Augmented needs an alpha rule")
-            if term.exact_coupled_min is None and term.prox is None:
-                raise ConfigurationError(
-                    f"block {bid!r}: Augmented needs exact_coupled_min or a prox oracle"
-                )
-        elif s.kind == "exact":
-            if term.exact_coupled_min is None and term.prox is None:
-                raise ConfigurationError(
-                    f"block {bid!r}: Exact needs exact_coupled_min or a prox oracle"
-                )
-        elif s.kind == "custom":
-            if s.generator_factory is None:
-                raise ConfigurationError(f"block {bid!r}: Custom needs a generator factory")
-            if term.prox is None:
-                raise ConfigurationError(
-                    f"block {bid!r}: Custom needs a prox oracle for the inner solver"
-                )
+            _resolve_alpha(s, p, x0, i)
+
+
+def _vec(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).ravel()
 
 
 def _frozen_partial(p: Problem, x: BlockVector, i: int):
@@ -224,6 +207,18 @@ def _frozen_partial(p: Problem, x: BlockVector, i: int):
         return p.coupling.partial_grad(x.with_block(i, u), i)
 
     return h_value, h_grad
+
+
+def _resolve_alpha(strategy: BlockStrategy, p: Problem, x: BlockVector, i: int) -> tuple[float, float]:
+    """(alpha_k, L_i) at ``x``; Linearized needs alpha_k > L_i for a convex generator."""
+    L_i = float(p.coupling.partial_lipschitz(x, i))
+    alpha = strategy.alpha_rule.resolve(L_i)
+    if strategy.kind == "linearized" and alpha <= L_i:
+        raise ConfigurationError(
+            f"block {p.block_ids[i]!r}: Linearized alpha_k = {alpha:g} must exceed the "
+            f"partial Lipschitz constant L_i = {L_i:g} (generator convexity requirement)"
+        )
+    return alpha, L_i
 
 
 def make_generator(
@@ -239,25 +234,15 @@ def make_generator(
         return make_zero_generator(x.block(i).size), 0.0
     if strategy.kind == "custom":
         return strategy.generator_factory(k, x, i), None
-    L_i = float(p.coupling.partial_lipschitz(x, i))
-    alpha = strategy.alpha_rule.resolve(L_i)
+    alpha, L_i = _resolve_alpha(strategy, p, x, i)
     if strategy.kind == "augmented":
         return make_augmented_generator(alpha, x.block(i).size), alpha
-    if alpha <= L_i:
-        raise ConfigurationError(
-            f"block {p.block_ids[i]!r}: alpha_k = {alpha:g} must exceed L_i = {L_i:g}"
-        )
     h_value, h_grad = _frozen_partial(p, x, i)
     return make_linearization_generator(alpha, h_value, h_grad, L_i), alpha
 
 
 def _solve_with_generator(
-    p: Problem,
-    x: BlockVector,
-    i: int,
-    gen: BregmanGenerator,
-    weight: Optional[float],
-    cfg: SolverConfig,
+    p: Problem, x: BlockVector, i: int, gen: BregmanGenerator, weight: Optional[float], cfg: SolverConfig
 ) -> tuple[np.ndarray, str]:
     """Solve block i's subproblem with the given generator.
 
@@ -268,69 +253,97 @@ def _solve_with_generator(
     term = p.terms[i]
     anchor = x.block(i)
     if weight is not None and term.exact_coupled_min is not None:
-        return np.asarray(term.exact_coupled_min(x, i, weight), dtype=float).ravel(), "ok"
+        return _vec(term.exact_coupled_min(x, i, weight)), "ok"
+    if not math.isfinite(gen.lipschitz_L):
+        raise ConfigurationError(
+            f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
+        )
 
     h_value, h_grad = _frozen_partial(p, x, i)
-    L_i = float(p.coupling.partial_lipschitz(x, i))
-    g_anchor = np.asarray(gen.gradient(anchor), dtype=float).ravel()
+    g_anchor = _vec(gen.gradient(anchor))
 
     def smooth_value(u):
         return float(h_value(u)) + bregman_distance(gen, u, anchor)
 
     def smooth_grad(u):
-        return np.asarray(h_grad(u), dtype=float).ravel() + np.asarray(
-            gen.gradient(u), dtype=float
-        ).ravel() - g_anchor
+        return _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor
 
-    L_sub = L_i + (gen.lipschitz_L if math.isfinite(gen.lipschitz_L) else 0.0)
-    if not math.isfinite(gen.lipschitz_L):
-        raise ConfigurationError(
-            f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
-        )
-    u, flag = inner_exact_min(
-        smooth_value,
-        smooth_grad,
-        L_sub,
-        term.value,
-        term.prox,
-        anchor,
-        tol=cfg.inner_tol,
-        max_iter=cfg.inner_max_iter,
-    )
-    return u, flag
+    L_sub = float(p.coupling.partial_lipschitz(x, i)) + gen.lipschitz_L
+    return inner_exact_min(smooth_value, smooth_grad, L_sub, term.value, term.prox, anchor,
+                           tol=cfg.inner_tol, max_iter=cfg.inner_max_iter)
+
+
+class BlockStep(NamedTuple):
+    """Block i's update and the quantities the sweep records about it.
+
+    ``x`` is the iterate after the update (the input iterate when the step was
+    rejected), ``h`` = H(x), ``f`` = f_i(x_i), ``bregman`` = B_phi(x_i^{k+1}, x_i^k),
+    ``step_sq`` = ||x_i^{k+1} - x_i^k||^2, and ``correction`` is
+    c_i = grad phi(x_i^k) - grad phi(x_i^{k+1}) - grad_i H(x), the term that
+    ``diagnostics.subgradient_residual`` adds to grad_i H(x^{k+1}).
+    """
+
+    x: BlockVector
+    gen: BregmanGenerator
+    flag: str
+    h: float
+    f: float
+    bregman: float
+    step_sq: float
+    correction: np.ndarray
 
 
 def step_block(
-    p: Problem,
-    x: BlockVector,
-    i: int,
-    strategy: BlockStrategy,
-    k: int,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, BregmanGenerator, str]:
-    """One block update; returns (new block value, generator used, inner flag).
+    p: Problem, x: BlockVector, i: int, strategy: BlockStrategy, k: int, cfg: SolverConfig,
+    h: float, f: float,
+) -> BlockStep:
+    """One block update, evaluated once: see ``BlockStep`` for what it returns.
 
-    ``x`` must already hold this sweep's updated values for blocks < i.
+    ``x`` must already hold this sweep's updated values for blocks < i, and
+    ``h``, ``f`` must be H(x) and f_i(x_i). Raises EvaluationError when the
+    accepted point has a non-finite objective or Bregman cost.
     """
     anchor = x.block(i)
     term = p.terms[i]
     gen, weight = make_generator(strategy, p, x, i, k)
     if strategy.kind == "linearized":
         # the linearization generator turns the subproblem into one prox-gradient step
-        g = np.asarray(p.coupling.partial_grad(x, i), dtype=float).ravel()
-        new = np.asarray(term.prox(anchor - g / weight, 1.0 / weight), dtype=float).ravel()
-        flag = "ok"
+        g = _vec(p.coupling.partial_grad(x, i))
+        new, flag = _vec(term.prox(anchor - g / weight, 1.0 / weight)), "ok"
     else:
         new, flag = _solve_with_generator(p, x, i, gen, weight, cfg)
 
+    x_new = x.with_block(i, new)
+    h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
+    d = new - anchor
+    if weight is None:
+        bregman = bregman_distance(gen, new, anchor)
+    elif weight == 0.0:
+        bregman = 0.0
+    else:  # phi = (w/2)||u||^2, minus H with the other blocks frozen when linearized
+        bregman = 0.5 * weight * float(d @ d)
+        if strategy.kind == "linearized":
+            bregman -= h_new - h - float(g @ d)
+    if not math.isfinite(bregman):
+        raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite Bregman cost")
+
     # The subproblem value at the accepted point must not exceed its value at
     # the anchor (where the Bregman term vanishes); reject ascent steps.
-    h_value, _ = _frozen_partial(p, x, i)
-    sub_new = float(h_value(new)) + float(term.value(new)) + bregman_distance(gen, new, anchor)
-    sub_anchor = float(h_value(anchor)) + float(term.value(anchor))
-    if sub_new > sub_anchor + 1e-12 * (1.0 + abs(sub_anchor)):
-        return anchor.copy(), gen, "ascent-rejected"
-    return new, gen, flag
+    if h_new + f_new + bregman > h + f + 1e-12 * (1.0 + abs(h + f)):
+        x_new, new, h_new, f_new, bregman, flag = x, anchor, h, f, 0.0, "ascent-rejected"
+        d = np.zeros_like(anchor)
+    elif not (math.isfinite(h_new) and math.isfinite(f_new)):
+        raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
+
+    if weight is None:
+        c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new))
+        c -= _vec(p.coupling.partial_grad(x_new, i))
+    else:
+        # for Linearized, grad phi's -grad_i H terms leave only the anchor gradient g
+        if strategy.kind != "linearized":
+            g = _vec(p.coupling.partial_grad(x_new, i))
+        c = -weight * d - g
+    return BlockStep(x_new, gen, flag, h_new, f_new, bregman, float(d @ d), c)
 
 
 def run(
@@ -353,6 +366,8 @@ def run(
 
     x = x0
     phi0 = phi_value(p, x0)
+    h = float(p.coupling.value(x0))
+    fs = [float(term.value(x0.block(i))) for i, term in enumerate(p.terms)]
     trace = IterateTrace(phi0=phi0, block_ids=p.block_ids)
     cum_step = 0.0
     status = "max-iter"
@@ -362,21 +377,19 @@ def run(
     for k in range(1, cfg.max_outer_iter + 1):
         x_prev = x
         phi_start = phi_end
-        gens: list[BregmanGenerator] = []
-        flags: list[str] = []
+        steps: list[BlockStep] = []
         partials: list[float] = []
-        step_sq_blocks: list[float] = []
         bregman_paid = 0.0
         try:
             for i in range(p.n_blocks):
-                new, gen, flag = step_block(p, x, i, strategies[i], k, cfg)
-                bregman_paid += bregman_distance(gen, new, x.block(i))
-                d = new - x.block(i)
-                step_sq_blocks.append(float(d @ d))
-                x = x.with_block(i, new)
-                gens.append(gen)
-                flags.append(flag)
-                partials.append(phi_value(p, x))
+                s = step_block(p, x, i, strategies[i], k, cfg, h, fs[i])
+                x, h, fs[i] = s.x, s.h, s.f
+                steps.append(s)
+                bregman_paid += s.bregman
+                phi = h  # summed in phi_value's order, so phi is the same float
+                for f in fs:
+                    phi += f
+                partials.append(phi)
         except EvaluationError:
             # A non-finite objective or iterate mid-sweep counts as divergence;
             # the trace up to the previous sweep stays intact.
@@ -384,12 +397,13 @@ def run(
             x = x_prev
             break
         phi_end = partials[-1]
+        step_sq_blocks = [s.step_sq for s in steps]
         step_sq = float(sum(step_sq_blocks))
         cum_step += math.sqrt(step_sq)
         sweeps = k
 
         diverged = math.sqrt(sum(float(a @ a) for a in x.arrays)) > DIVERGENCE_NORM
-        _, res_norm = _diag.subgradient_residual(p, x_prev, x, gens)
+        _, res_norm = _diag.subgradient_residual(p, x, [s.correction for s in steps])
 
         if callback is not None:
             callback(k, x)
@@ -407,9 +421,9 @@ def run(
                     bregman_paid=bregman_paid,
                     residual=res_norm,
                     cum_step=cum_step,
-                    inner_flags=tuple(flags),
-                    nu_blocks=tuple(g.modulus_nu for g in gens),
-                    lip_blocks=tuple(g.lipschitz_L for g in gens),
+                    inner_flags=tuple(s.flag for s in steps),
+                    nu_blocks=tuple(s.gen.modulus_nu for s in steps),
+                    lip_blocks=tuple(s.gen.lipschitz_L for s in steps),
                 )
             )
         if diverged:

@@ -51,3 +51,23 @@ def grid_min_2d_two_stage(obj, lo=-5.0, hi=5.0, fine_step=1e-3, coarse_step=0.02
     center = grid_min_2d(obj, ((lo + hi) / 2, (lo + hi) / 2), (hi - lo) / 2, coarse_step)
     center = grid_min_2d(obj, center, 2.5 * coarse_step, fine_step)
     return grid_min_2d(obj, center, 2.5 * fine_step, final_step)
+
+
+def mixed_point_corrections(p, x_prev, x_next, generators):
+    """Residual corrections from their definition, one per block:
+
+        c_i = grad phi_i(x_i^k) - grad phi_i(x_i^{k+1}) - grad_i H(mixed_i),
+
+    where mixed_i holds blocks <= i at ``x_next`` and blocks > i at ``x_prev``.
+    """
+    out = []
+    for i, gen in enumerate(generators):
+        mixed = x_next
+        for j in range(i + 1, p.n_blocks):
+            mixed = mixed.with_block(j, x_prev.block(j))
+        out.append(
+            np.asarray(gen.gradient(x_prev.block(i)), dtype=float).ravel()
+            - np.asarray(gen.gradient(x_next.block(i)), dtype=float).ravel()
+            - np.asarray(p.coupling.partial_grad(mixed, i), dtype=float).ravel()
+        )
+    return out

@@ -1,5 +1,6 @@
 """The traced benchmark (perfbench/tracer.py) patches bam's module attributes by
-name; this test fails when a refactor unbinds one of them.
+name; this test fails when a refactor unbinds one of them, or changes a
+signature so that a traced solve no longer runs.
 
 The tracer runs in a subprocess so that a failure half-way through
 ``instrument`` cannot leave ``bam`` patched for later tests.
@@ -24,6 +25,18 @@ with instrument(tracer):
 p = build_sparse_group_instance(6, 4, [[0, 1], [2, 3]], seed=1)
 wrapped = tracer.wrap_problem(p)
 assert wrapped.block_ids == p.block_ids and wrapped.coupling is not p.coupling
+
+# a short traced solve goes through every wrapper the engine calls
+import bam.driver as driver
+cfg = driver.SolverConfig(max_outer_iter=3, residual_tol=0.0, step_tol=0.0)
+with instrument(tracer):
+    with tracer.root("solve", timed=True):
+        res = driver.run(wrapped, driver.resolve_strategy_preset("plam"), cfg, wrapped.default_x0)
+assert res.sweeps == 3 and len(res.trace.records) == 3, res
+assert tracer.open_spans() == 0, tracer.open_spans()
+counts = tracer.counts(timed_only=True)
+assert counts["driver.run"] == 1 and counts["driver.step_block"] == 6, counts
+assert counts["problem.h_value"] > 0, counts
 """
 
 

@@ -22,6 +22,14 @@ def sep_quad_config(**overrides):
     return cfg
 
 
+def with_strategies(specs):
+    def mutate(cfg):
+        del cfg["preset"]
+        cfg["strategies"] = specs
+
+    return mutate
+
+
 def read_report(tmp_path, name="report.json"):
     with open(tmp_path / name) as fh:
         return json.load(fh)
@@ -135,6 +143,66 @@ class TestConfigRejection:
         mutate(cfg)
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "group_size": 0}}),
+                "group_size 0", id="group-size-0",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group",
+                    "parameters": {"n1": 4, "n2": 4, "a_matrix_csv": "absent.csv"}}),
+                "absent.csv", id="missing-csv",
+            ),
+            pytest.param(lambda c: c["problem"].update(parameters=[1, 2]),
+                         "problem.parameters must be a JSON object", id="parameters-list"),
+            pytest.param(lambda c: c["problem"].update(name=["separable_quadratic"]),
+                         "unknown problem name", id="name-list"),
+            pytest.param(lambda c: c.pop("problem"), "problem must be a JSON object",
+                         id="no-problem"),
+            pytest.param(lambda c: c.update(solver=[1]), "solver must be a JSON object",
+                         id="solver-list"),
+            pytest.param(lambda c: c.update(output=["trace.csv"]), "output must be a JSON object",
+                         id="output-list"),
+            pytest.param(lambda c: c.update(output={"trace": 5}), "output file names",
+                         id="output-number"),
+            pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
+                         "bad x0 mapping", id="x0-text"),
+            pytest.param(with_strategies(["exact", "exact"]),
+                         "strategies[0] must be a JSON object", id="strategy-string"),
+            pytest.param(with_strategies([{"alpha_rule": None}, {}]),
+                         "strategies[0].alpha_rule must be a JSON object", id="alpha-rule-null"),
+            pytest.param(with_strategies([{}, {}]), "unknown strategy kind None",
+                         id="strategy-no-kind"),
+            pytest.param(
+                with_strategies([
+                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": "big"}},
+                    {"kind": "exact"},
+                ]),
+                "bad strategies[0].alpha_rule", id="alpha-text",
+            ),
+            pytest.param(lambda c: c.update(checks="monotone_descent"),
+                         "'checks' must be a list", id="checks-string"),
+            pytest.param(lambda c: c["solver"].update(max_outer_iter=1.5),
+                         "max_outer_iter must be an integer", id="max-outer-iter-float"),
+            pytest.param(lambda c: c["solver"].update(inner_max_iter=0),
+                         "inner_max_iter must be an integer", id="inner-max-iter-0"),
+        ],
+    )
+    def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):
+        cfg = sep_quad_config()
+        mutate(cfg)
+        cfg_path = write_config(tmp_path, cfg)
+        for command in ("run", "check"):
+            caplog.clear()
+            assert main([command, cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+            assert [r.levelname for r in caplog.records] == ["ERROR"]
+            assert message in caplog.records[0].getMessage()
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_linearized_step_weight_too_small(self, tmp_path, caplog):
         cfg = sep_quad_config()

@@ -20,6 +20,8 @@ from bam.driver import IterateTrace, SolverConfig, SweepRecord, resolve_strategy
 from bam.errors import ParameterError
 from bam.problem import build_separable_quadratic_badgrad
 
+from conftest import mixed_point_corrections
+
 
 def make_record(k, phi_start, phi_partials, *, step_blocks=(1.0, 1.0), residual=0.0,
                 cum_step=0.0, nus=(0.0, 0.0), lips=(0.0, 0.0)):
@@ -123,7 +125,7 @@ class TestSubgradientResidual:
         x0 = sep_quad.zeros()
         x1 = BlockVector([("y", [y1]), ("z", [z1])])
         gens = [make_augmented_generator(1.0, 1), make_augmented_generator(1.0, 1)]
-        v, norm = subgradient_residual(sep_quad, x0, x1, gens)
+        v, norm = subgradient_residual(sep_quad, x1, mixed_point_corrections(sep_quad, x0, x1, gens))
         # block y: grad_y H moved because z changed after y's solve, plus alpha*(y0 - y1)
         assert v.block(0)[0] == pytest.approx(-2.0 * z1 - y1, abs=1e-12)
         # block z: H terms cancel (last block), leaving alpha*(z0 - z1)
@@ -135,7 +137,9 @@ class TestSubgradientResidual:
         res = run(sep_quad, resolve_strategy_preset("am"), cfg, sep_quad.zeros())
         x1 = res.final_x
         gens = [make_zero_generator(1), make_zero_generator(1)]
-        v, _ = subgradient_residual(sep_quad, sep_quad.zeros(), x1, gens)
+        v, _ = subgradient_residual(
+            sep_quad, x1, mixed_point_corrections(sep_quad, sep_quad.zeros(), x1, gens)
+        )
         assert v.block(1)[0] == 0.0
 
     def test_matches_prox_optimality_for_linearized_sweep(self, sep_quad):
@@ -150,9 +154,8 @@ class TestSubgradientResidual:
 
     def test_vanishes_at_fixed_point(self, sep_quad):
         x = BlockVector([("y", [1 / 3]), ("z", [-1 / 3])])
-        _, norm = subgradient_residual(
-            sep_quad, x, x, [make_augmented_generator(3.0, 1), make_zero_generator(1)]
-        )
+        gens = [make_augmented_generator(3.0, 1), make_zero_generator(1)]
+        _, norm = subgradient_residual(sep_quad, x, mixed_point_corrections(sep_quad, x, x, gens))
         assert norm == pytest.approx(0.0, abs=1e-14)
 
 

@@ -1,10 +1,13 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bam.driver as driver
 from bam.blockvec import BlockVector, norm_sq
-from bam.bregman import make_augmented_generator
+from bam.bregman import BregmanGenerator, bregman_distance, make_augmented_generator
+from bam.diagnostics import subgradient_residual
 from bam.driver import (
     AlphaRule,
     BlockStrategy,
@@ -17,7 +20,12 @@ from bam.driver import (
 from bam.errors import ConfigurationError, ParameterError
 from bam.problem import BlockTerm, CouplingOracle, Problem, phi_value
 
-from conftest import grid_min_1d
+from conftest import grid_min_1d, mixed_point_corrections
+
+
+def step(p, x, i, strategy, cfg=SolverConfig()):
+    """``step_block`` at sweep 1, given H(x) and f_i(x_i) as ``run`` carries them."""
+    return step_block(p, x, i, strategy, 1, cfg, p.coupling.value(x), p.terms[i].value(x.block(i)))
 
 
 def make_unbounded_problem(prox):
@@ -55,20 +63,20 @@ def make_bad_prox_problem():
 class TestStepBlock:
     def test_exact_step_on_separable_quadratic(self, sep_quad):
         cfg = SolverConfig()
-        new, gen, flag = step_block(sep_quad, sep_quad.zeros(), 0, BlockStrategy("exact"), 1, cfg)
-        assert new[0] == pytest.approx(0.5, abs=1e-14)
-        assert gen.label == "zero"
-        assert flag == "ok"
+        s = step(sep_quad, sep_quad.zeros(), 0, BlockStrategy("exact"), cfg)
+        assert s.x.block(0)[0] == pytest.approx(0.5, abs=1e-14)
+        assert s.gen.label == "zero"
+        assert s.flag == "ok"
 
     def test_linearized_step_matches_grid_oracle(self, sep_quad):
         cfg = SolverConfig()
         strat = BlockStrategy("linearized", AlphaRule("constant", 4.0))
-        new, gen, flag = step_block(sep_quad, sep_quad.zeros(), 0, strat, 1, cfg)
+        s = step(sep_quad, sep_quad.zeros(), 0, strat, cfg)
         # subproblem: (u - 1)^2 + <grad_y H(0,0), u> + (4/2) u^2 with zero gradient
         ref = grid_min_1d(lambda u: (u - 1) ** 2 + 2.0 * u**2)
-        assert new[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert new[0] == pytest.approx(ref, abs=1e-4)
-        assert flag == "ok"
+        assert s.x.block(0)[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert s.x.block(0)[0] == pytest.approx(ref, abs=1e-4)
+        assert s.flag == "ok"
 
     def test_fixed_point_gives_zero_step(self, sep_quad):
         cfg = SolverConfig()
@@ -78,30 +86,31 @@ class TestStepBlock:
             ("augmented", AlphaRule("constant", 1.0)),
             ("linearized", AlphaRule("lipschitz_factor", 1.1)),
         ]:
-            new, _, _ = step_block(sep_quad, x, 0, BlockStrategy(kind, rule), 1, cfg)
-            assert new[0] == pytest.approx(1 / 3, abs=1e-12)
+            s = step(sep_quad, x, 0, BlockStrategy(kind, rule), cfg)
+            assert s.x.block(0)[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_augmented_step_closed_form(self, sep_quad):
         # y-update with alpha = 2: minimize (u-1)^2 + (u-z)^2 + (u-y_k)^2
         cfg = SolverConfig()
         strat = BlockStrategy("augmented", AlphaRule("constant", 2.0))
-        new, gen, _ = step_block(sep_quad, sep_quad.zeros(), 0, strat, 1, cfg)
-        assert new[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert gen.modulus_nu == pytest.approx(2.0)
+        s = step(sep_quad, sep_quad.zeros(), 0, strat, cfg)
+        assert s.x.block(0)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert s.gen.modulus_nu == pytest.approx(2.0)
 
     def test_linearized_rejects_alpha_at_or_below_lipschitz(self, sep_quad):
         cfg = SolverConfig()
         strat = BlockStrategy("linearized", AlphaRule("constant", 2.0))
         with pytest.raises(ConfigurationError):
-            step_block(sep_quad, sep_quad.zeros(), 0, strat, 1, cfg)
+            step(sep_quad, sep_quad.zeros(), 0, strat, cfg)
 
     def test_ascent_step_is_rejected(self):
         p = make_bad_prox_problem()
         cfg = SolverConfig()
         strat = BlockStrategy("linearized", AlphaRule("constant", 1.0))
-        new, _, flag = step_block(p, p.default_x0, 0, strat, 1, cfg)
-        assert flag == "ascent-rejected"
-        np.testing.assert_array_equal(new, p.default_x0.block(0))
+        s = step(p, p.default_x0, 0, strat, cfg)
+        assert s.flag == "ascent-rejected"
+        np.testing.assert_array_equal(s.x.block(0), p.default_x0.block(0))
+        assert (s.bregman, s.step_sq) == (0.0, 0.0)
 
     def test_rejected_ascent_is_reported_in_the_sweep_record(self):
         p = make_bad_prox_problem()
@@ -180,7 +189,16 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SolverConfig(residual_tol=-1.0)
         with pytest.raises(ParameterError):
+            SolverConfig(step_tol=float("nan"))
+        with pytest.raises(ParameterError):
             SolverConfig(record_every=0)
+
+    @pytest.mark.parametrize("name", ["max_outer_iter", "inner_max_iter", "record_every"])
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, 2.0, "5", True, None])
+    def test_iteration_counts_are_integers_at_least_one(self, name, bad):
+        with pytest.raises(ParameterError, match=name):
+            SolverConfig(**{name: bad})
+        assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
     def test_x0_structure_mismatch(self, sep_quad, multiblock):
         cfg = SolverConfig(max_outer_iter=1)
@@ -289,3 +307,108 @@ def test_divergence_by_overflow_keeps_previous_iterate():
     assert res.status == "diverged"
     # the blown-up sweep is discarded; the reported iterate stays finite
     assert np.all(np.isfinite(res.final_x.to_flat()))
+
+
+def counting_problem(p):
+    """A copy of ``p`` whose H value and partial gradient count their calls."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    c = p.coupling
+    coupling = CouplingOracle(
+        value=counted("h_value", c.value),
+        partial_grad=counted("partial_grad", c.partial_grad),
+        partial_lipschitz=c.partial_lipschitz,
+    )
+    return replace(p, coupling=coupling), counts
+
+
+class TestOnePassCost:
+    """Each block update evaluates H once; the residual adds one gradient per block."""
+
+    @staticmethod
+    def steady_sweeps(p, preset, monkeypatch):
+        """Oracle calls per sweep after the first, leaving out the inner solver's own."""
+        wrapped, counts = counting_problem(p)
+        inner_calls = Counter()
+        inner = driver.inner_exact_min
+
+        def counted_inner(*args, **kwargs):
+            before = counts.copy()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                inner_calls.update(counts - before)
+
+        monkeypatch.setattr(driver, "inner_exact_min", counted_inner)
+        seen = []
+        cfg = SolverConfig(max_outer_iter=4, residual_tol=0.0, step_tol=0.0, inner_max_iter=20)
+        run(wrapped, resolve_strategy_preset(preset), cfg, wrapped.default_x0,
+            callback=lambda k, x: seen.append(counts - inner_calls))
+        return [b - a for a, b in zip(seen, seen[1:])]
+
+    def test_plam_sweep(self, sparse_group, monkeypatch):
+        sweeps = self.steady_sweeps(sparse_group, "plam", monkeypatch)
+        assert len(sweeps) == 3
+        for c in sweeps:
+            assert c["h_value"] <= 2 and c["partial_grad"] <= 4, c
+
+    def test_am_sweep_outside_the_inner_solver(self, sparse_group, monkeypatch):
+        sweeps = self.steady_sweeps(sparse_group, "am", monkeypatch)
+        assert len(sweeps) == 3
+        for c in sweeps:
+            assert c["h_value"] <= 2 and c["partial_grad"] <= 4, c
+
+
+def log_cosh_generator(a, dim):
+    """A non-quadratic generator: phi(u) = (a/2)||u||^2 + sum_j log cosh u_j."""
+    return BregmanGenerator(
+        value=lambda u: 0.5 * a * float(u @ u) + float(np.sum(np.logaddexp(u, -u) - np.log(2.0))),
+        gradient=lambda u: a * np.asarray(u, dtype=float) + np.tanh(u),
+        modulus_nu=a,
+        lipschitz_L=a + 1.0,
+        label="logcosh",
+    )
+
+
+SHORTCUT_STRATEGIES = {
+    "exact": BlockStrategy("exact"),
+    "augmented": BlockStrategy("augmented", AlphaRule("constant", 1.0)),
+    "linearized": BlockStrategy("linearized", AlphaRule("lipschitz_factor", 1.1)),
+    "custom": BlockStrategy(
+        "custom", generator_factory=lambda k, x, i: log_cosh_generator(0.5, x.block(i).size)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SHORTCUT_STRATEGIES))
+@pytest.mark.parametrize("problem", ["sep_quad", "multiblock", "sparse_group"])
+def test_block_step_shortcuts_equal_definitions(request, problem, kind):
+    """The closed-form Bregman cost and residual correction agree with B_phi and
+    the mixed-point residual built from the generator's gradient."""
+    p = request.getfixturevalue(problem)
+    cfg = SolverConfig(inner_max_iter=50)
+    x = p.default_x0
+    h, fs = p.coupling.value(x), [t.value(x.block(i)) for i, t in enumerate(p.terms)]
+    for k in (1, 2, 3):
+        x_prev, gens, corrections = x, [], []
+        for i in range(p.n_blocks):
+            anchor = x.block(i)
+            s = step_block(p, x, i, SHORTCUT_STRATEGIES[kind], k, cfg, h, fs[i])
+            x, h, fs[i] = s.x, s.h, s.f
+            tol = 1e-12 * (1.0 + abs(phi_value(p, x)))
+            assert s.flag != "ascent-rejected"
+            assert s.bregman == pytest.approx(bregman_distance(s.gen, x.block(i), anchor), abs=tol)
+            assert s.h == p.coupling.value(x) and s.f == p.terms[i].value(x.block(i))
+            assert s.step_sq == pytest.approx(float((x.block(i) - anchor) @ (x.block(i) - anchor)))
+            gens.append(s.gen)
+            corrections.append(s.correction)
+        engine, _ = subgradient_residual(p, x, corrections)
+        reference, _ = subgradient_residual(p, x, mixed_point_corrections(p, x_prev, x, gens))
+        np.testing.assert_allclose(engine.to_flat(), reference.to_flat(), rtol=0.0, atol=tol)
