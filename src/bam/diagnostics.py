@@ -169,10 +169,10 @@ def subgradient_residual(
     p: Problem,
     x_next: BlockVector,
     corrections: Sequence[np.ndarray],
-) -> tuple[BlockVector, float]:
-    """Explicit subgradient element assembled from the sweep's optimality conditions.
+) -> tuple[list[np.ndarray], float]:
+    """Explicit subgradient element of the sweep's optimality conditions, as (blocks, norm).
 
-    Block i of the vector is grad_i H(x^{k+1}) + c_i, where the correction
+    Block i, a plain array, is grad_i H(x^{k+1}) + c_i, where the correction
 
         c_i = grad phi_i^k(x_i^k) - grad phi_i^k(x_i^{k+1}) - grad_i H(mixed_i)
 
@@ -184,11 +184,11 @@ def subgradient_residual(
         raise ConfigurationError("one correction per block is required")
     if not p.matches(x_next):
         raise ConfigurationError("iterate does not match the problem structure")
-    v = BlockVector(
-        (bid, np.asarray(p.coupling.partial_grad(x_next, i), dtype=float).ravel() + c)
-        for i, (bid, c) in enumerate(zip(p.block_ids, corrections))
-    )
-    return v, math.sqrt(sum(float(a @ a) for a in v.arrays))
+    v = [
+        np.asarray(p.coupling.partial_grad(x_next, i), dtype=float).ravel() + c
+        for i, c in enumerate(corrections)
+    ]
+    return v, math.sqrt(sum(float(a @ a) for a in v))
 
 
 def check_residual_bound(trace, l_hat: Optional[float] = None, l_cross: Optional[float] = None) -> CheckReport:
@@ -261,7 +261,7 @@ def check_residual_vanishes(trace, l_hat: float = 1.0) -> CheckReport:
 
 def critical_point_certificate(p: Problem, x: BlockVector, tol: float = 1e-6) -> CheckReport:
     """Blockwise first-order criticality: -grad_i H(x) lies in the
-    subdifferential of f_i at x_i, within ``tol`` per block."""
+    subdifferential of f_i at x_i, within ``tol`` per block; a NaN distance fails."""
     distances = {}
     missing = []
     worst = 0.0
@@ -274,7 +274,7 @@ def critical_point_certificate(p: Problem, x: BlockVector, tol: float = 1e-6) ->
         g = np.asarray(p.coupling.partial_grad(x, i), dtype=float).ravel()
         d = float(term.subdiff_certificate(x.block(i), g))
         distances[bid] = d
-        worst = max(worst, d)
+        worst = max(worst, d if math.isfinite(d) else math.inf)
     if distances and worst > tol:
         status = "fail"
     elif missing:

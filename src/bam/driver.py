@@ -390,8 +390,11 @@ def run(
                 for f in fs:
                     phi += f
                 partials.append(phi)
+            _, res_norm = _diag.subgradient_residual(p, x, [s.correction for s in steps])
         except EvaluationError:
-            # A non-finite objective or iterate mid-sweep counts as divergence;
+            res_norm = math.nan
+        if not math.isfinite(res_norm):
+            # A non-finite objective, iterate or residual counts as divergence;
             # the trace up to the previous sweep stays intact.
             status = "diverged"
             x = x_prev
@@ -403,7 +406,6 @@ def run(
         sweeps = k
 
         diverged = math.sqrt(sum(float(a @ a) for a in x.arrays)) > DIVERGENCE_NORM
-        _, res_norm = _diag.subgradient_residual(p, x, [s.correction for s in steps])
 
         if callback is not None:
             callback(k, x)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .blockvec import BlockVector
 from .errors import EstimationError, EvaluationError, ParameterError, ShapeError
-from .prox import group_shrink, soft_threshold, validate_groups
+from .prox import group_norms, group_shrink, soft_threshold, validate_groups
 
 Array = np.ndarray
 
@@ -122,21 +122,18 @@ def l1_certificate(lam: float) -> Callable[[Array, Array], float]:
     return cert
 
 
-def group_l2_certificate(lam: float, group_idx: Sequence[Array]) -> Callable[[Array, Array], float]:
-    """Certificate for lam*sum_g ||x_g|| over pre-validated group index arrays."""
+def group_l2_certificate(lam: float, gid: Array) -> Callable[[Array, Array], float]:
+    """Certificate for lam*sum_g ||x_g|| over group labels: group g's distance is
+    ||g_g + lam*x_g/||x_g|||| if x_g != 0, else max(||g_g|| - lam, 0)."""
 
     def cert(xi: Array, g: Array) -> float:
         xi = np.asarray(xi, dtype=float).ravel()
         g = np.asarray(g, dtype=float).ravel()
-        sq = 0.0
-        for idx in group_idx:
-            xg, gg = xi[idx], g[idx]
-            nx = float(np.linalg.norm(xg))
-            if nx > 0.0:
-                sq += float(np.linalg.norm(-gg - lam * xg / nx)) ** 2
-            else:
-                sq += max(float(np.linalg.norm(gg)) - lam, 0.0) ** 2
-        return math.sqrt(sq)
+        nx = group_norms(xi, gid)
+        nonzero = nx > 0.0
+        d_nonzero = group_norms(g + lam * xi / np.where(nonzero, nx, 1.0)[gid], gid)
+        d_zero = np.maximum(group_norms(g, gid) - lam, 0.0)
+        return float(np.linalg.norm(np.where(nonzero, d_nonzero, d_zero)))
 
     return cert
 
@@ -225,13 +222,13 @@ def build_sparse_group_instance(
         min_z ||Ay - z||^2 + lam2*||z||_{1,2} + (alpha/2)||z - z_k||^2
 
     has the closed form: groupwise shrinkage of (2Ay + alpha*z_k)/(2+alpha)
-    by lam2/(2+alpha).
+    by lam2/(2+alpha). ``groups`` must partition range(n2) (``prox.validate_groups``).
     """
     if n1 < 1 or n2 < 1:
         raise ParameterError("n1 and n2 must be >= 1")
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda1 and lambda2 must be positive")
-    group_idx = validate_groups(groups, n2)
+    gid = validate_groups(groups, n2)
 
     if a_matrix is not None:
         A = np.asarray(a_matrix, dtype=float)
@@ -264,7 +261,7 @@ def build_sparse_group_instance(
 
     def z_exact(x: BlockVector, i: int, alpha: float) -> Array:
         w = (2.0 * (A @ x.block(0)) + alpha * x.block(1)) / (2.0 + alpha)
-        return group_shrink(w, group_idx, lambda2 / (2.0 + alpha))
+        return group_shrink(w, gid, lambda2 / (2.0 + alpha))
 
     term_y = BlockTerm(
         value=lambda u: lambda1 * float(np.sum(np.abs(u))),
@@ -272,11 +269,10 @@ def build_sparse_group_instance(
         subdiff_certificate=l1_certificate(lambda1),
     )
     term_z = BlockTerm(
-        value=lambda u: lambda2
-        * float(sum(np.linalg.norm(np.asarray(u, dtype=float).ravel()[idx]) for idx in group_idx)),
-        prox=lambda v, tau: group_shrink(np.asarray(v, dtype=float).ravel(), group_idx, tau * lambda2),
+        value=lambda u: lambda2 * float(np.sum(group_norms(u, gid))),
+        prox=lambda v, tau: group_shrink(v, gid, tau * lambda2),
         exact_coupled_min=z_exact,
-        subdiff_certificate=group_l2_certificate(lambda2, group_idx),
+        subdiff_certificate=group_l2_certificate(lambda2, gid),
     )
 
     x0_rng = np.random.default_rng([seed, 1])
@@ -293,7 +289,7 @@ def build_sparse_group_instance(
         default_x0=default_x0,
         metadata={
             "A": A,
-            "groups": [list(map(int, idx)) for idx in group_idx],
+            "groups": [list(map(int, g)) for g in groups],
             "lambda1": lambda1,
             "lambda2": lambda2,
             "L1": L1,

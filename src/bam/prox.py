@@ -1,4 +1,4 @@
-"""Proximal maps and the inner subproblem solver for block updates."""
+"""Proximal maps, the group-norm kernel and the inner subproblem solver for block updates."""
 
 from __future__ import annotations
 
@@ -12,23 +12,29 @@ from .errors import EvaluationError, ParameterError, ShapeError
 Array = np.ndarray
 
 
-def validate_groups(groups: Sequence[Sequence[int]], n: int) -> list[np.ndarray]:
-    """Check that ``groups`` partitions range(n); return index arrays."""
-    out = []
-    seen = np.zeros(n, dtype=bool)
-    for g in groups:
-        idx = np.asarray(list(g), dtype=int)
-        if idx.size == 0:
-            raise ParameterError("empty group in partition")
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise ParameterError(f"group index out of range for length {n}: {idx}")
-        if np.any(seen[idx]):
-            raise ParameterError("groups overlap")
-        seen[idx] = True
-        out.append(idx)
-    if not np.all(seen):
-        raise ParameterError("groups do not cover every index")
-    return out
+def validate_groups(groups: Sequence[Sequence[int]], n: int) -> Array:
+    """Check that the integer lists ``groups`` partition range(n), each index
+    in exactly one group; return the labels gid, gid[i] = j for i in groups[j]."""
+    members = [np.asarray(list(g)) for g in groups]
+    for m in members:
+        if m.size == 0 or m.ndim != 1 or m.dtype.kind not in "iu" or m.min() < 0 or m.max() >= n:
+            raise ParameterError(
+                f"each group must be a non-empty list of integers in range({n}), got {m.tolist()}"
+            )
+    idx = np.concatenate([np.zeros(0, np.intp)] + [m.astype(np.intp) for m in members])
+    counts = np.bincount(idx, minlength=n)
+    if np.any(counts != 1):
+        i = int(np.flatnonzero(counts != 1)[0])
+        raise ParameterError(f"groups must partition range({n}); index {i} occurs {counts[i]} times")
+    gid = np.empty(n, dtype=np.intp)
+    gid[idx] = np.repeat(np.arange(len(members)), [m.size for m in members])
+    return gid
+
+
+def group_norms(v: Array, gid: Array) -> Array:
+    """Euclidean norm of each group of ``v`` under the labels from ``validate_groups``."""
+    v = np.asarray(v, dtype=float).ravel()
+    return np.sqrt(np.bincount(gid, weights=v * v))
 
 
 def soft_threshold(v: Array, tau: float) -> Array:
@@ -39,16 +45,12 @@ def soft_threshold(v: Array, tau: float) -> Array:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def group_shrink(v: Array, group_idx: Sequence[np.ndarray], tau: float) -> Array:
-    """Groupwise shrinkage over pre-validated index arrays."""
+def group_shrink(v: Array, gid: Array, tau: float) -> Array:
+    """Scale group g of ``v`` by max(1 - tau/||v_g||, 0), tau > 0; a zero group stays zero."""
     v = np.asarray(v, dtype=float).ravel()
-    out = np.zeros_like(v)
-    for idx in group_idx:
-        vg = v[idx]
-        ng = float(np.linalg.norm(vg))
-        if ng > 0.0:
-            out[idx] = max(1.0 - tau / ng, 0.0) * vg
-    return out
+    # max(||v_g||, tau) gives exactly 0 when ||v_g|| <= tau, with no division by zero
+    scale = 1.0 - tau / np.maximum(group_norms(v, gid), tau)
+    return scale[gid] * v
 
 
 def group_soft_threshold(v: Array, groups: Sequence[Sequence[int]], tau: float) -> Array:
@@ -58,8 +60,7 @@ def group_soft_threshold(v: Array, groups: Sequence[Sequence[int]], tau: float) 
     """
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    v = np.asarray(v, dtype=float).ravel()
-    return group_shrink(v, validate_groups(groups, v.size), tau)
+    return group_shrink(v, validate_groups(groups, np.size(v)), tau)
 
 
 def inner_exact_min(

@@ -37,6 +37,8 @@ assert tracer.open_spans() == 0, tracer.open_spans()
 counts = tracer.counts(timed_only=True)
 assert counts["driver.run"] == 1 and counts["driver.step_block"] == 6, counts
 assert counts["problem.h_value"] > 0, counts
+# the z prox must reach the group kernel through problem.group_shrink
+assert counts["prox.group_shrink"] > 0, counts
 """
 
 

@@ -158,6 +158,12 @@ class TestConfigRejection:
                     "parameters": {"n1": 4, "n2": 4, "a_matrix_csv": "absent.csv"}}),
                 "absent.csv", id="missing-csv",
             ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group",
+                    "parameters": {"n1": 4, "n2": 3, "groups": [[0, 0, 1], [2]]}}),
+                "index 0 occurs 2 times", id="groups-repeat-index",
+            ),
             pytest.param(lambda c: c["problem"].update(parameters=[1, 2]),
                          "problem.parameters must be a JSON object", id="parameters-list"),
             pytest.param(lambda c: c["problem"].update(name=["separable_quadratic"]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,9 +128,9 @@ class TestSubgradientResidual:
         gens = [make_augmented_generator(1.0, 1), make_augmented_generator(1.0, 1)]
         v, norm = subgradient_residual(sep_quad, x1, mixed_point_corrections(sep_quad, x0, x1, gens))
         # block y: grad_y H moved because z changed after y's solve, plus alpha*(y0 - y1)
-        assert v.block(0)[0] == pytest.approx(-2.0 * z1 - y1, abs=1e-12)
+        assert v[0][0] == pytest.approx(-2.0 * z1 - y1, abs=1e-12)
         # block z: H terms cancel (last block), leaving alpha*(z0 - z1)
-        assert v.block(1)[0] == pytest.approx(-z1, abs=1e-12)
+        assert v[1][0] == pytest.approx(-z1, abs=1e-12)
         assert norm == pytest.approx(math.hypot(0.08, 0.24), abs=1e-12)
 
     def test_last_block_exact_step_gives_zero_component(self, sep_quad):
@@ -140,7 +141,7 @@ class TestSubgradientResidual:
         v, _ = subgradient_residual(
             sep_quad, x1, mixed_point_corrections(sep_quad, sep_quad.zeros(), x1, gens)
         )
-        assert v.block(1)[0] == 0.0
+        assert v[1][0] == 0.0
 
     def test_matches_prox_optimality_for_linearized_sweep(self, sep_quad):
         cfg = SolverConfig(max_outer_iter=1, residual_tol=0.0, step_tol=0.0)
@@ -237,6 +238,12 @@ class TestCriticalPointCertificate:
         p = build_sparse_group_instance(50, 40, GROUPS_8x5, seed=7, lambda1=0.1, lambda2=0.1)
         x = p.default_x0
         assert critical_point_certificate(p, x).status == "fail"
+
+    def test_non_finite_distance_fails(self, sep_quad):
+        nan_grad = lambda x, i: np.array([np.nan])
+        p = replace(sep_quad, coupling=replace(sep_quad.coupling, partial_grad=nan_grad))
+        rep = critical_point_certificate(p, BlockVector([("y", [1 / 3]), ("z", [-1 / 3])]))
+        assert rep.status == "fail"
 
 
 class TestGradcheck:

@@ -309,6 +309,22 @@ def test_divergence_by_overflow_keeps_previous_iterate():
     assert np.all(np.isfinite(res.final_x.to_flat()))
 
 
+def test_non_finite_gradient_ends_run_diverged(sep_quad):
+    def grad(x, i):
+        g = sep_quad.coupling.partial_grad(x, i)
+        return g * np.nan if x.block(0)[0] > 0.2 else g
+
+    p = replace(sep_quad, coupling=replace(sep_quad.coupling, partial_grad=grad))
+    x0 = BlockVector([("y", [-1.0]), ("z", [-1.0])])
+    cfg = SolverConfig(max_outer_iter=10, residual_tol=0.0, step_tol=0.0)
+    # exact steps: sweep 1 reaches (0, -0.5); sweep 2 moves y to 0.25, where
+    # the gradient in the residual is NaN
+    res = run(p, resolve_strategy_preset("am"), cfg, x0)
+    assert res.status == "diverged"
+    assert res.sweeps == 1 and [r.k for r in res.trace.records] == [1]
+    np.testing.assert_array_equal(res.final_x.to_flat(), [0.0, -0.5])
+
+
 def counting_problem(p):
     """A copy of ``p`` whose H value and partial gradient count their calls."""
     counts = Counter()
@@ -411,4 +427,6 @@ def test_block_step_shortcuts_equal_definitions(request, problem, kind):
             corrections.append(s.correction)
         engine, _ = subgradient_residual(p, x, corrections)
         reference, _ = subgradient_residual(p, x, mixed_point_corrections(p, x_prev, x, gens))
-        np.testing.assert_allclose(engine.to_flat(), reference.to_flat(), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(
+            np.concatenate(engine), np.concatenate(reference), rtol=0.0, atol=tol
+        )

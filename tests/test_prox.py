@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from bam.bregman import make_zero_generator
 from bam.errors import ParameterError
-from bam.prox import group_soft_threshold, inner_exact_min, soft_threshold, validate_groups
+from bam.problem import build_sparse_group_instance
+from bam.prox import (
+    group_shrink,
+    group_soft_threshold,
+    inner_exact_min,
+    soft_threshold,
+    validate_groups,
+)
 
 from conftest import grid_min_1d, grid_min_2d_two_stage
 
@@ -86,10 +93,60 @@ class TestGroupSoftThreshold:
             group_soft_threshold(v, [[0, 1], [2, 4]], 1.0)  # out of range
         with pytest.raises(ParameterError):
             group_soft_threshold(v, [[0, 1], [], [2, 3]], 1.0)  # empty group
+        with pytest.raises(ParameterError):
+            group_soft_threshold(v, [[0, 0, 1], [2, 3]], 1.0)  # repeated index
+        with pytest.raises(ParameterError):
+            group_soft_threshold(v, [[0, 1.7], [2, 3]], 1.0)  # non-integer index
+        with pytest.raises(ParameterError):
+            group_soft_threshold(v, [["0", "1"], ["2", "3"]], 1.0)  # text index
 
     def test_validate_groups_returns_index_arrays(self):
-        idx = validate_groups([[1, 0], [2]], 3)
-        assert [list(a) for a in idx] == [[1, 0], [2]]
+        gid = validate_groups([[1, 0], [3], [2, 4]], 5)
+        np.testing.assert_array_equal(gid, [0, 0, 2, 1, 2])
+
+
+@st.composite
+def grouped_vectors(draw):
+    """A shuffled partition of range(n), singletons allowed, with two vectors
+    over it; the first has some groups set to zero."""
+    n = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    groups = [perm[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    vec = st.lists(st.floats(-10, 10), min_size=n, max_size=n).map(np.array)
+    v, g = draw(vec), draw(vec)
+    for grp in groups:
+        if draw(st.booleans()):
+            v[grp] = 0.0
+    return groups, v, g
+
+
+class TestGroupKernel:
+    """The label-array kernel against the per-group definitions."""
+
+    @staticmethod
+    def close(got, ref):
+        assert np.all(np.abs(np.asarray(got) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_vectors(), st.floats(0.01, 5.0))
+    def test_shrink_value_and_certificate_match_per_group_loops(self, case, lam):
+        groups, v, g = case
+        ref_shrink = np.zeros_like(v)
+        ref_sq = 0.0
+        for grp in groups:
+            nv = np.linalg.norm(v[grp])
+            if nv > 0.0:
+                ref_shrink[grp] = max(1.0 - lam / nv, 0.0) * v[grp]
+                ref_sq += np.linalg.norm(-g[grp] - lam * v[grp] / nv) ** 2
+            else:
+                ref_sq += max(np.linalg.norm(g[grp]) - lam, 0.0) ** 2
+        ref_value = lam * sum(np.linalg.norm(v[grp]) for grp in groups)
+
+        self.close(group_shrink(v, validate_groups(groups, v.size), lam), ref_shrink)
+        z_term = build_sparse_group_instance(2, v.size, groups, lambda2=lam).terms[1]
+        self.close(z_term.value(v), ref_value)
+        self.close(z_term.subdiff_certificate(v, g), np.sqrt(ref_sq))
 
 
 @pytest.mark.parametrize("prox_kind", ["l1", "group"])
