@@ -7,11 +7,11 @@ from .blockvec import BlockVector, combine, norm_sq
 from .bregman import (
     BregmanGenerator,
     bregman_distance,
-    check_generator_convexity,
     make_augmented_generator,
     make_linearization_generator,
     make_zero_generator,
 )
+from .diagnostics import check_generator_convexity
 from .driver import (
     AlphaRule,
     BlockStep,

@@ -14,13 +14,16 @@ classical block-update rules:
   obtained from phi(x) = (alpha/2)||x||^2 - H(x, frozen other blocks).
 
 Constants are declared by the factories, not inferred; use
-``check_generator_convexity`` to validate a declaration empirically.
+``diagnostics.check_generator_convexity`` (also ``bam.check_generator_convexity``)
+to validate a declaration empirically. It returns a ``CheckReport`` whose
+``details`` hold the generator's label, the smallest observed curvature ratio
+and the declared modulus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -146,54 +149,4 @@ def make_linearization_generator(
         modulus_nu=alpha - l_partial,
         lipschitz_L=alpha + l_partial,
         label=label or f"plam({alpha:g})",
-    )
-
-
-@dataclass
-class ConvexityReport:
-    """Outcome of an empirical monotonicity probe of a generator."""
-
-    label: str
-    min_ratio: float
-    modulus_nu: float
-    probes: int
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-def check_generator_convexity(
-    gen: BregmanGenerator,
-    dim: int,
-    probes: int = 50,
-    seed: int = 0,
-    radius: float = 10.0,
-) -> ConvexityReport:
-    """Probe <grad phi(u) - grad phi(v), u - v> / ||u - v||^2 on random pairs.
-
-    Passes iff the minimal observed ratio is at least ``modulus_nu - 1e-8``.
-    Probe points are uniform in a box of the given radius around the origin.
-    """
-    if probes < 1:
-        raise ParameterError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
-    min_ratio = math.inf
-    for _ in range(probes):
-        u = rng.uniform(-radius, radius, size=dim)
-        v = rng.uniform(-radius, radius, size=dim)
-        d = u - v
-        denom = float(d @ d)
-        if denom < 1e-24:
-            continue
-        num = float((np.asarray(gen.gradient(u)) - np.asarray(gen.gradient(v))) @ d)
-        if not math.isfinite(num):
-            raise EvaluationError(f"generator {gen.label!r} gradient is non-finite at a probe")
-        min_ratio = min(min_ratio, num / denom)
-    if not math.isfinite(min_ratio):
-        min_ratio = gen.modulus_nu  # all probe pairs degenerate; vacuous pass
-    return ConvexityReport(
-        label=gen.label,
-        min_ratio=min_ratio,
-        modulus_nu=gen.modulus_nu,
-        probes=probes,
-        passed=min_ratio >= gen.modulus_nu - 1e-8,
     )

@@ -3,7 +3,13 @@
 Subcommands:
   run      <config.json>   solve one configuration, run requested checks
   compare  <config.json>   run >= 2 presets from the same start point
-  check    <config.json>   full diagnostic battery plus a short checked run
+  check    <config.json>   ``run`` plus the pre-run checks of the inputs
+                           (gradcheck at x0, generator convexity per block);
+                           the requested checks default to all of CHECK_NAMES
+
+Check names and checks come from ``diagnostics.CHECK_NAMES`` and
+``diagnostics.CHECKS``. ``check`` has no ``prox_brute_force`` entry: the prox
+maps do not depend on the config, and acceptance test 05 brute-forces them.
 
 Exit codes: 0 success (all requested checks pass or are skipped/inconclusive),
 1 configuration error, 2 check failure or divergence.
@@ -30,22 +36,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
 from .blockvec import BlockVector
-from .bregman import check_generator_convexity
-from .bregman import (  # noqa: F401 -- re-exported; perfbench's tracer patches these names
-    make_augmented_generator,
-    make_linearization_generator,
-    make_zero_generator,
-)
+from .diagnostics import CHECK_NAMES, check_generator_convexity
 from .driver import (
     AlphaRule,
     BlockStrategy,
@@ -65,34 +65,27 @@ from .problem import (
     build_separable_quadratic_badgrad,
     build_sparse_group_instance,
 )
-from .prox import group_soft_threshold, soft_threshold
+
+# Re-exported only because perfbench's tracer patches these names on this module.
+from .bregman import (  # noqa: F401
+    make_augmented_generator,
+    make_linearization_generator,
+    make_zero_generator,
+)
+from .prox import group_soft_threshold, soft_threshold  # noqa: F401
 
 log = logging.getLogger("bam")
 
 TRACE_HEADER = "k,phi,phi_half,step_norm_sq,bregman_paid,residual,cum_step,inner_flag"
 
-CHECK_NAMES = (
-    "monotone_descent",
-    "sufficient_decrease",
-    "residual_bound",
-    "residual_vanishes",
-    "critical_point",
-    "gradcheck",
-    "finite_length",
-)
-
-
-class ConfigError(ConfigurationError):
-    """Malformed or inconsistent experiment configuration."""
-
 
 def _require_keys(section, allowed: set[str], where: str) -> dict:
     """A copy of ``section`` after checking that it is an object with only ``allowed`` keys."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+        raise ConfigurationError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown field(s) in {where}: {sorted(unknown)}")
     return dict(section)
 
 
@@ -101,9 +94,9 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}") from e
+        raise ConfigurationError(f"cannot read config {path!r}: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path!r} line {e.lineno}: {e.msg}") from e
+        raise ConfigurationError(f"config {path!r} line {e.lineno}: {e.msg}") from e
     return _require_keys(
         cfg, {"problem", "preset", "strategies", "presets", "solver", "checks", "output"}, "config"
     )
@@ -111,12 +104,14 @@ def load_config(path: str) -> dict:
 
 def _build_sparse_group(params: dict, seed: int) -> Problem:
     n1, n2 = int(params["n1"]), int(params["n2"])
+    if "groups" in params and "group_size" in params:
+        raise ConfigurationError("give either 'groups' or 'group_size', not both")
     if "groups" in params:
         groups = params["groups"]
     else:
         gs = int(params.get("group_size", 1))
         if gs < 1 or n2 % gs != 0:
-            raise ConfigError(f"group_size {gs} must be >= 1 and divide n2 = {n2}")
+            raise ConfigurationError(f"group_size {gs} must be >= 1 and divide n2 = {n2}")
         groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
     a_matrix = None
     if "a_matrix_csv" in params:
@@ -156,14 +151,14 @@ def build_problem(section: dict, seed_override=None) -> Problem:
     section = _require_keys(section, {"name", "parameters", "seed", "x0"}, "problem")
     name = section.get("name")
     if not isinstance(name, str) or name not in PROBLEMS:
-        raise ConfigError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
+        raise ConfigurationError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
     allowed, build = PROBLEMS[name]
     params = _require_keys(section.get("parameters", {}), allowed, "problem.parameters")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
     try:
         return build(params, seed)
     except (KeyError, TypeError, ValueError, OSError) as e:
-        raise ConfigError(f"bad parameters for problem {name!r}: {e}") from e
+        raise ConfigurationError(f"bad parameters for problem {name!r}: {e}") from e
 
 
 def resolve_x0(p: Problem, section: dict) -> BlockVector:
@@ -175,24 +170,24 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
     if isinstance(kind, dict):
         missing = set(p.block_ids) - set(kind)
         if missing:
-            raise ConfigError(f"x0 mapping is missing blocks: {sorted(missing)}")
+            raise ConfigurationError(f"x0 mapping is missing blocks: {sorted(missing)}")
         try:
             return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad x0 mapping: {e}") from e
-    raise ConfigError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
+            raise ConfigurationError(f"bad x0 mapping: {e}") from e
+    raise ConfigurationError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
 
 
 def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
     if "preset" in cfg and "strategies" in cfg:
-        raise ConfigError("give either 'preset' or 'strategies', not both")
+        raise ConfigurationError("give either 'preset' or 'strategies', not both")
     if "preset" in cfg:
         name = cfg["preset"]
         return resolve_strategy_preset(name, p.n_blocks), name
     if "strategies" in cfg:
         specs = cfg["strategies"]
         if not isinstance(specs, list):
-            raise ConfigError("'strategies' must be a list")
+            raise ConfigurationError("'strategies' must be a list")
         out = []
         for i, s in enumerate(specs):
             s = _require_keys(s, {"kind", "alpha_rule"}, f"strategies[{i}]")
@@ -202,10 +197,10 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
                 try:
                     rule = AlphaRule(r.get("kind"), float(r.get("value")))
                 except (TypeError, ValueError) as e:
-                    raise ConfigError(f"bad strategies[{i}].alpha_rule: {e}") from e
+                    raise ConfigurationError(f"bad strategies[{i}].alpha_rule: {e}") from e
             out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
         return out, "custom"
-    raise ConfigError("config needs 'preset' or 'strategies'")
+    raise ConfigurationError("config needs 'preset' or 'strategies'")
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
@@ -213,7 +208,7 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     try:
         return SolverConfig(**section)
     except (BamError, TypeError) as e:
-        raise ConfigError(f"bad solver section: {e}") from e
+        raise ConfigurationError(f"bad solver section: {e}") from e
 
 
 def fmt(v: float) -> str:
@@ -240,53 +235,8 @@ def _trace_csv_text(trace: IterateTrace, preset: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _l_cross(p: Problem, x: BlockVector) -> float:
-    if "cross_lipschitz" in p.metadata:
-        return float(p.metadata["cross_lipschitz"])
-    worst = 0.0
-    for i in range(p.n_blocks):
-        for j in range(p.n_blocks):
-            if i != j:
-                worst = max(worst, diag.estimate_cross_lipschitz(p, x, i, j))
-    return worst
-
-
 def run_checks(names, p: Problem, result: RunResult, x0: BlockVector) -> list[diag.CheckReport]:
-    reports = []
-    trace = result.trace
-    for name in names:
-        if name == "monotone_descent":
-            reports.append(diag.check_monotone_descent(trace))
-        elif name == "sufficient_decrease":
-            reports.append(diag.check_sufficient_decrease(trace))
-        elif name == "residual_bound":
-            reports.append(diag.check_residual_bound(trace, l_cross=_l_cross(p, result.final_x)))
-        elif name == "residual_vanishes":
-            lips = [
-                L for r in trace.records for L in r.lip_blocks if math.isfinite(L)
-            ]
-            l_hat = math.sqrt(2.0) * (_l_cross(p, result.final_x) + (max(lips) if lips else 0.0))
-            reports.append(diag.check_residual_vanishes(trace, l_hat=l_hat))
-        elif name == "critical_point":
-            reports.append(diag.critical_point_certificate(p, result.final_x))
-        elif name == "gradcheck":
-            reports.append(diag.gradcheck(p, x0))
-        elif name == "finite_length":
-            fl = diag.finite_length_monitor(trace)
-            converged = result.status in ("residual-converged", "step-converged")
-            status = "pass" if fl.plateau else ("inconclusive" if not converged else "fail")
-            reports.append(
-                diag.CheckReport(
-                    "finite_length",
-                    status,
-                    details={
-                        "total_length": fl.total_length,
-                        "tail_increment": fl.tail_increment,
-                        "plateau": fl.plateau,
-                    },
-                )
-            )
-    return reports
+    return [diag.CHECKS[name](p, result, x0) for name in names]
 
 
 def _report_json(p, preset, result, reports) -> dict:
@@ -312,7 +262,9 @@ def _write_report(report: dict, path: Path) -> None:
 def _check_names(cfg: dict) -> list:
     names = cfg.get("checks", [])
     if not isinstance(names, list) or not all(n in CHECK_NAMES for n in names):
-        raise ConfigError(f"'checks' must be a list of names from {CHECK_NAMES}, got {names!r}")
+        raise ConfigurationError(
+            f"'checks' must be a list of names from {CHECK_NAMES}, got {names!r}"
+        )
     return names
 
 
@@ -320,23 +272,32 @@ def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
     section = _require_keys(cfg.get("output", {}), {"trace", "report"}, "output")
     names = section.get("trace", "trace.csv"), section.get("report", "report.json")
     if not all(isinstance(n, str) for n in names):
-        raise ConfigError(f"output file names must be strings, got {names!r}")
+        raise ConfigurationError(f"output file names must be strings, got {names!r}")
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
     return base / names[0], base / names[1]
 
 
 def cmd_run(cfg: dict, args) -> int:
+    """``bam run``, and ``bam check``: the pre-run checks, then every check by default."""
     p = build_problem(cfg.get("problem"), args.seed)
-    checks = _check_names(cfg)
+    names = _check_names(cfg)
     strategies, preset = build_strategies(cfg, p)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
     validate_strategies(p, strategies, x0)
     trace_path, report_path = _out_paths(cfg, args.out_dir)
 
+    reports = []
+    if args.command == "check":  # check the inputs before the run
+        reports.append(diag.gradcheck(p, x0))
+        for i, strategy in enumerate(strategies):
+            gen, _ = make_generator(strategy, p, x0, i, 0)
+            rep = check_generator_convexity(gen, p.block_dims[i], probes=30, seed=0, radius=2.0)
+            reports.append(replace(rep, name=f"generator_convexity[{p.block_ids[i]}]"))
+        names = [n for n in names or CHECK_NAMES if n != "gradcheck"]
     result = run(p, strategies, solver_cfg, x0)
-    reports = run_checks(checks, p, result, x0)
+    reports += run_checks(names, p, result, x0)
     write_trace_csv(result.trace, trace_path)
     _write_report(_report_json(p, preset, result, reports), report_path)
 
@@ -348,12 +309,11 @@ def cmd_run(cfg: dict, args) -> int:
         result.sweeps,
         result.trace.records[-1].phi_end if result.trace.records else result.trace.phi0,
     )
-    if result.status == "diverged":
-        log.error("run diverged")
-        return 2
-    if any(not r.acceptable for r in reports):
-        failed = [r.name for r in reports if not r.acceptable]
-        log.error("checks failed: %s", failed)
+    for r in reports:
+        log.info("check %-28s %s (worst=%.3g)", r.name, r.status, r.worst_violation)
+    bad = [r.name for r in reports if not r.acceptable]
+    if result.status == "diverged" or bad:
+        log.error("run %s; failing checks: %s", result.status, bad)
         return 2
     return 0
 
@@ -361,7 +321,7 @@ def cmd_run(cfg: dict, args) -> int:
 def cmd_compare(cfg: dict, args) -> int:
     presets = cfg.get("presets")
     if not isinstance(presets, list) or len(presets) < 2:
-        raise ConfigError("compare needs a 'presets' list with at least 2 entries")
+        raise ConfigurationError("compare needs a 'presets' list with at least 2 entries")
     p = build_problem(cfg.get("problem"), args.seed)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
@@ -403,85 +363,6 @@ def cmd_compare(cfg: dict, args) -> int:
     return 0 if all(r.status != "diverged" for r in results.values()) else 2
 
 
-def _grid_min_1d(obj, lo: float, hi: float, step: float) -> float:
-    grid = np.arange(lo, hi + step, step)
-    return float(grid[np.argmin(obj(grid))])
-
-
-def _prox_spotcheck(seed: int = 0, cases: int = 10) -> diag.CheckReport:
-    """Compare both prox maps against grid brute force on a few seeded cases."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        v = float(rng.uniform(-3, 3))
-        tau = float(rng.uniform(0.05, 2.0))
-        got = soft_threshold(np.array([v]), tau)[0]
-        ref = _grid_min_1d(lambda u: tau * np.abs(u) + 0.5 * (u - v) ** 2, -5, 5, 1e-4)
-        worst = max(worst, abs(got - ref))
-    for _ in range(cases):
-        v = rng.uniform(-3, 3, size=2)
-        tau = float(rng.uniform(0.05, 2.0))
-        got = group_soft_threshold(v, [[0, 1]], tau)
-        # coarse-to-fine grid; the prox objective is strongly convex so the
-        # refinement around the coarse argmin is safe
-        lo, hi = -4.0, 4.0
-        g = np.arange(lo, hi, 0.02)
-        U = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
-        obj = tau * np.linalg.norm(U, axis=-1) + 0.5 * np.sum((U - v) ** 2, axis=-1)
-        cu = U[np.unravel_index(np.argmin(obj), obj.shape)]
-        g2a = np.arange(cu[0] - 0.03, cu[0] + 0.03, 1e-3)
-        g2b = np.arange(cu[1] - 0.03, cu[1] + 0.03, 1e-3)
-        U = np.stack(np.meshgrid(g2a, g2b, indexing="ij"), axis=-1)
-        obj = tau * np.linalg.norm(U, axis=-1) + 0.5 * np.sum((U - v) ** 2, axis=-1)
-        ref = U[np.unravel_index(np.argmin(obj), obj.shape)]
-        worst = max(worst, float(np.max(np.abs(got - ref))))
-    status = "pass" if worst <= 1e-3 else "fail"
-    return diag.CheckReport("prox_brute_force", status, worst_violation=worst)
-
-
-def _generator_convexity_reports(p: Problem, strategies, x0) -> list[diag.CheckReport]:
-    reports = []
-    for i, s in enumerate(strategies):
-        gen, _ = make_generator(s, p, x0, i, 0)
-        rep = check_generator_convexity(gen, p.block_dims[i], probes=30, seed=0, radius=2.0)
-        reports.append(
-            diag.CheckReport(
-                f"generator_convexity[{p.block_ids[i]}]",
-                "pass" if rep.passed else "fail",
-                worst_violation=rep.modulus_nu - rep.min_ratio,
-                details={"label": rep.label, "min_ratio": rep.min_ratio, "modulus_nu": rep.modulus_nu},
-            )
-        )
-    return reports
-
-
-def cmd_check(cfg: dict, args) -> int:
-    p = build_problem(cfg.get("problem"), args.seed)
-    names = _check_names(cfg) or CHECK_NAMES
-    strategies, preset = build_strategies(cfg, p)
-    solver_cfg = build_solver_config(cfg)
-    x0 = resolve_x0(p, cfg["problem"])
-    validate_strategies(p, strategies, x0)
-    trace_path, report_path = _out_paths(cfg, args.out_dir)
-
-    reports = [diag.gradcheck(p, x0)]
-    reports.extend(_generator_convexity_reports(p, strategies, x0))
-    reports.append(_prox_spotcheck())
-
-    result = run(p, strategies, solver_cfg, x0)
-    reports.extend(run_checks([n for n in names if n != "gradcheck"], p, result, x0))
-    write_trace_csv(result.trace, trace_path)
-    _write_report(_report_json(p, preset, result, reports), report_path)
-
-    bad = [r.name for r in reports if not r.acceptable]
-    for r in reports:
-        log.info("check %-28s %s (worst=%.3g)", r.name, r.status, r.worst_violation)
-    if result.status == "diverged" or bad:
-        log.error("failing checks: %s", bad)
-        return 2
-    return 0
-
-
 def _setup_logging(quiet: bool) -> None:
     level_name = os.environ.get("BAM_LOG", "info").lower()
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
@@ -506,12 +387,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.command == "run":
-            return cmd_run(cfg, args)
         if args.command == "compare":
             return cmd_compare(cfg, args)
-        return cmd_check(cfg, args)
-    except (ConfigError, ConfigurationError, BamError) as e:
+        return cmd_run(cfg, args)
+    except BamError as e:
         log.error("%s", e)
         return 1
 

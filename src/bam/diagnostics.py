@@ -1,7 +1,9 @@
 """Runtime checkers for the solver's descent and convergence guarantees.
 
 Every checker is a pure function of (problem, trace, constants) and returns a
-CheckReport rather than raising on violation. Reports carry a status:
+CheckReport rather than raising on violation. ``CHECKS`` maps each name in
+``CHECK_NAMES`` to the check that runs on a finished run; it is the one table
+the command line looks checks up in. Reports carry a status:
 
 * "pass" / "fail"     -- the check ran and the tolerance held / was broken,
 * "skipped"           -- the check's precondition is not met (not a failure),
@@ -21,8 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockvec import BlockVector
-from .errors import ConfigurationError, ParameterError
-from .problem import Problem
+from .bregman import BregmanGenerator
+from .errors import ConfigurationError, EvaluationError, ParameterError
+from .problem import Problem, _max_gradient_ratio
 
 
 @dataclass
@@ -205,11 +208,7 @@ def check_residual_bound(trace, l_hat: Optional[float] = None, l_cross: Optional
     worst = -math.inf
     worst_k = -1
     for rec in trace.records:
-        if l_hat is None:
-            lips = [L for L in rec.lip_blocks if math.isfinite(L)]
-            bound_const = math.sqrt(2.0) * (l_cross + (max(lips) if lips else 0.0))
-        else:
-            bound_const = l_hat
+        bound_const = _l_hat(l_cross, [rec]) if l_hat is None else l_hat
         v = rec.residual - bound_const * math.sqrt(rec.step_norm_sq) - tol
         if v > worst:
             worst, worst_k = v, rec.k
@@ -338,32 +337,68 @@ def gradcheck(
     )
 
 
-@dataclass
-class FiniteLengthReport:
-    """Empirical surrogate for the finite-length property of the iterates."""
+def finite_length_monitor(trace, converged: bool = False) -> CheckReport:
+    """Empirical surrogate for the finite-length property of the iterates.
 
-    total_length: float
-    curve: list[float]
-    tail_increment: float
-    plateau: bool
-
-
-def finite_length_monitor(trace) -> FiniteLengthReport:
-    """Cumulative step-length curve with a plateau flag.
-
-    The flag is set when the last 10% of recorded sweeps contribute less
-    than 1% of the total path length.
+    The plateau flag is set when the last 10% of recorded sweeps contribute
+    less than 1% of the total path length (the ``cum_step`` curve). The check
+    passes on a plateau. Without one it fails when the run ``converged`` (it
+    stopped on a tolerance while its path was still growing), and is
+    inconclusive otherwise.
     """
     curve = [r.cum_step for r in trace.records]
-    if not curve:
-        return FiniteLengthReport(0.0, [], 0.0, False)
-    total = curve[-1]
+    total = curve[-1] if curve else 0.0
+    tail_inc = 0.0
+    plateau = False
     n = len(curve)
-    if n < 2 or total <= 0.0:
-        return FiniteLengthReport(total, curve, 0.0, False)
-    tail_start = max(0, n - max(1, math.ceil(0.1 * n)) - 1)
-    tail_inc = total - curve[tail_start]
-    return FiniteLengthReport(total, curve, tail_inc, tail_inc < 0.01 * total)
+    if n >= 2 and total > 0.0:
+        tail_start = max(0, n - max(1, math.ceil(0.1 * n)) - 1)
+        tail_inc = total - curve[tail_start]
+        plateau = tail_inc < 0.01 * total
+    return CheckReport(
+        "finite_length",
+        "pass" if plateau else ("fail" if converged else "inconclusive"),
+        details={"total_length": total, "tail_increment": tail_inc, "plateau": plateau},
+    )
+
+
+def check_generator_convexity(
+    gen: BregmanGenerator,
+    dim: int,
+    probes: int = 50,
+    seed: int = 0,
+    radius: float = 10.0,
+) -> CheckReport:
+    """Probe <grad phi(u) - grad phi(v), u - v> / ||u - v||^2 on random pairs.
+
+    Passes iff the minimal observed ratio is at least ``modulus_nu - 1e-8``.
+    Probe points are uniform in a box of the given radius around the origin.
+    ``worst_violation`` is modulus_nu minus the minimal ratio; ``details``
+    holds the generator's ``label``, the ``min_ratio`` and the ``modulus_nu``.
+    """
+    if probes < 1:
+        raise ParameterError("probes must be >= 1")
+    rng = np.random.default_rng(seed)
+    min_ratio = math.inf
+    for _ in range(probes):
+        u = rng.uniform(-radius, radius, size=dim)
+        v = rng.uniform(-radius, radius, size=dim)
+        d = u - v
+        denom = float(d @ d)
+        if denom < 1e-24:
+            continue
+        num = float((np.asarray(gen.gradient(u)) - np.asarray(gen.gradient(v))) @ d)
+        if not math.isfinite(num):
+            raise EvaluationError(f"generator {gen.label!r} gradient is non-finite at a probe")
+        min_ratio = min(min_ratio, num / denom)
+    if not math.isfinite(min_ratio):
+        min_ratio = gen.modulus_nu  # all probe pairs degenerate; vacuous pass
+    return CheckReport(
+        "generator_convexity",
+        "pass" if min_ratio >= gen.modulus_nu - 1e-8 else "fail",
+        worst_violation=gen.modulus_nu - min_ratio,
+        details={"label": gen.label, "min_ratio": min_ratio, "modulus_nu": gen.modulus_nu},
+    )
 
 
 def estimate_cross_lipschitz(
@@ -379,16 +414,39 @@ def estimate_cross_lipschitz(
     where block ``vary_block`` (!= grad_block) moves and the rest stay at x."""
     if grad_block == vary_block:
         raise ParameterError("grad_block and vary_block must differ")
-    rng = np.random.default_rng(seed)
-    dim = p.block_dims[vary_block]
-    worst = 0.0
-    for _ in range(probes):
-        du = rng.standard_normal(dim)
-        dw = rng.standard_normal(dim)
-        denom = float(np.linalg.norm(du - dw))
-        if denom < 1e-12:
-            continue
-        gu = p.coupling.partial_grad(x.with_block(vary_block, x.block(vary_block) + du), grad_block)
-        gw = p.coupling.partial_grad(x.with_block(vary_block, x.block(vary_block) + dw), grad_block)
-        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
-    return safety * worst
+    return safety * _max_gradient_ratio(p, x, grad_block, vary_block, probes, seed)
+
+
+def _cross_lipschitz(p: Problem, x: BlockVector) -> float:
+    """``metadata["cross_lipschitz"]``, else the largest cross estimate over block pairs at x."""
+    if "cross_lipschitz" in p.metadata:
+        return float(p.metadata["cross_lipschitz"])
+    pairs = [(i, j) for i in range(p.n_blocks) for j in range(p.n_blocks) if i != j]
+    return max((estimate_cross_lipschitz(p, x, i, j) for i, j in pairs), default=0.0)
+
+
+def _l_hat(l_cross: float, records) -> float:
+    """L_hat = sqrt(2) * (l_cross + the largest finite generator Lipschitz constant in records)."""
+    lips = [L for rec in records for L in rec.lip_blocks if math.isfinite(L)]
+    return math.sqrt(2.0) * (l_cross + (max(lips) if lips else 0.0))
+
+
+# check name -> check(problem, run result, start point). The entries call the
+# checks by module-level name, so a check replaced on this module (as
+# perfbench's tracer does) is the one that runs.
+CHECKS = {
+    "monotone_descent": lambda p, res, x0: check_monotone_descent(res.trace),
+    "sufficient_decrease": lambda p, res, x0: check_sufficient_decrease(res.trace),
+    "residual_bound": lambda p, res, x0: check_residual_bound(
+        res.trace, l_cross=_cross_lipschitz(p, res.final_x)
+    ),
+    "residual_vanishes": lambda p, res, x0: check_residual_vanishes(
+        res.trace, l_hat=_l_hat(_cross_lipschitz(p, res.final_x), res.trace.records)
+    ),
+    "critical_point": lambda p, res, x0: critical_point_certificate(p, res.final_x),
+    "gradcheck": lambda p, res, x0: gradcheck(p, x0),
+    "finite_length": lambda p, res, x0: finite_length_monitor(
+        res.trace, converged=res.status in ("residual-converged", "step-converged")
+    ),
+}
+CHECK_NAMES = tuple(CHECKS)

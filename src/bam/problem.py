@@ -418,6 +418,37 @@ def build_separable_quadratic_badgrad() -> Problem:
     )
 
 
+def _max_gradient_ratio(
+    p: Problem, x: BlockVector, grad_block: int, vary_block: int, probes: int, seed: int
+) -> float:
+    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``probes`` seeded pairs.
+
+    i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
+    standard-normal draws and keep the other blocks at ``x``. Degenerate pairs
+    are redrawn; 100 of them raise ``EstimationError``.
+    """
+    rng = np.random.default_rng(seed)
+    dim = p.block_dims[vary_block]
+    base = x.block(vary_block)
+    worst = 0.0
+    failures = 0
+    done = 0
+    while done < probes:
+        du = rng.standard_normal(dim)
+        dw = rng.standard_normal(dim)
+        denom = float(np.linalg.norm(du - dw))
+        if denom < 1e-12:
+            failures += 1
+            if failures >= 100:
+                raise EstimationError("could not sample non-degenerate probe pairs")
+            continue
+        gu = p.coupling.partial_grad(x.with_block(vary_block, base + du), grad_block)
+        gw = p.coupling.partial_grad(x.with_block(vary_block, base + dw), grad_block)
+        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
+        done += 1
+    return worst
+
+
 def estimate_partial_lipschitz(
     p: Problem,
     x: BlockVector,
@@ -435,26 +466,7 @@ def estimate_partial_lipschitz(
     """
     if probes < 2:
         raise ParameterError("probes must be >= 2")
-    rng = np.random.default_rng(seed)
-    dim = p.block_dims[i]
-    worst = 0.0
-    failures = 0
-    done = 0
-    while done < probes:
-        du = rng.standard_normal(dim)
-        dw = rng.standard_normal(dim)
-        d = du - dw
-        denom = float(np.linalg.norm(d))
-        if denom < 1e-12:
-            failures += 1
-            if failures >= 100:
-                raise EstimationError("could not sample non-degenerate probe pairs")
-            continue
-        gu = p.coupling.partial_grad(x.with_block(i, x.block(i) + du), i)
-        gw = p.coupling.partial_grad(x.with_block(i, x.block(i) + dw), i)
-        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
-        done += 1
-    est = safety * worst
+    est = safety * _max_gradient_ratio(p, x, i, i, probes, seed)
     declared = p.coupling.partial_lipschitz(x, i)
     if declared is not None and math.isfinite(declared):
         est = min(est, float(declared))

@@ -4,11 +4,11 @@ import pytest
 from bam.bregman import (
     BregmanGenerator,
     bregman_distance,
-    check_generator_convexity,
     make_augmented_generator,
     make_linearization_generator,
     make_zero_generator,
 )
+from bam.diagnostics import check_generator_convexity
 from bam.errors import ParameterError, ShapeError
 
 
@@ -209,13 +209,13 @@ def test_distance_convexity_properties(gen, dim):
 def test_check_generator_convexity_augmented():
     rep = check_generator_convexity(make_augmented_generator(1.0, 4), 4, probes=40, seed=0)
     assert rep.passed
-    assert rep.min_ratio == pytest.approx(1.0, abs=1e-10)
+    assert rep.details["min_ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_check_generator_convexity_zero():
     rep = check_generator_convexity(make_zero_generator(4), 4, probes=40, seed=0)
     assert rep.passed
-    assert rep.min_ratio == pytest.approx(0.0, abs=1e-12)
+    assert rep.details["min_ratio"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_check_generator_convexity_linearization_on_sparse_group(sparse_group):
@@ -230,7 +230,7 @@ def test_check_generator_convexity_linearization_on_sparse_group(sparse_group):
     )
     rep = check_generator_convexity(gen, p.block_dims[0], probes=30, seed=1, radius=2.0)
     assert rep.passed
-    assert rep.min_ratio >= 0.1 * L1 - 1e-8
+    assert rep.details["min_ratio"] >= 0.1 * L1 - 1e-8
 
 
 def test_check_generator_convexity_catches_overdeclared_modulus():

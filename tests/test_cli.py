@@ -164,6 +164,12 @@ class TestConfigRejection:
                     "parameters": {"n1": 4, "n2": 3, "groups": [[0, 0, 1], [2]]}}),
                 "index 0 occurs 2 times", id="groups-repeat-index",
             ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group",
+                    "parameters": {"n1": 4, "n2": 4, "group_size": 3, "groups": [[0, 1], [2, 3]]}}),
+                "either 'groups' or 'group_size'", id="groups-and-group-size",
+            ),
             pytest.param(lambda c: c["problem"].update(parameters=[1, 2]),
                          "problem.parameters must be a JSON object", id="parameters-list"),
             pytest.param(lambda c: c["problem"].update(name=["separable_quadratic"]),
@@ -273,7 +279,7 @@ class TestCheck:
         report = read_report(tmp_path)
         names = [c["name"] for c in report["checks"]]
         assert "gradcheck" in names
-        assert "prox_brute_force" in names
+        assert "prox_brute_force" not in names  # acceptance 05 tests the prox maps
         assert any(n.startswith("generator_convexity") for n in names)
 
     def test_seeded_gradient_fault_is_caught(self, tmp_path):

@@ -268,23 +268,38 @@ class TestGradcheck:
 class TestFiniteLength:
     def test_empty_trace(self):
         rep = finite_length_monitor(make_trace(1.0, []))
-        assert rep.total_length == 0.0 and not rep.plateau
+        assert rep.details["total_length"] == 0.0 and not rep.details["plateau"]
 
     def test_plateau_detected(self):
         cums = [1.0 - 0.5**k for k in range(1, 61)]
         recs = [make_record(k + 1, 1.0, (0.9, 0.8), cum_step=c) for k, c in enumerate(cums)]
         rep = finite_length_monitor(make_trace(1.0, recs))
-        assert rep.plateau
-        assert rep.total_length == pytest.approx(cums[-1])
+        assert rep.details["plateau"]
+        assert rep.details["total_length"] == pytest.approx(cums[-1])
 
     def test_linear_growth_is_not_a_plateau(self):
         recs = [make_record(k, 1.0, (0.9, 0.8), cum_step=0.1 * k) for k in range(1, 61)]
-        assert not finite_length_monitor(make_trace(1.0, recs)).plateau
+        assert not finite_length_monitor(make_trace(1.0, recs)).details["plateau"]
+
+    @pytest.mark.parametrize(
+        "cum_step, converged, status",
+        [
+            (lambda k: 1.0 - 0.5**k, False, "pass"),
+            (lambda k: 1.0 - 0.5**k, True, "pass"),
+            (lambda k: 0.1 * k, False, "inconclusive"),
+            (lambda k: 0.1 * k, True, "fail"),
+        ],
+        ids=["plateau", "plateau-converged", "no-plateau-unconverged", "no-plateau-converged"],
+    )
+    def test_status_rule(self, cum_step, converged, status):
+        recs = [make_record(k, 1.0, (0.9, 0.8), cum_step=cum_step(k)) for k in range(1, 61)]
+        rep = finite_length_monitor(make_trace(1.0, recs), converged=converged)
+        assert rep.name == "finite_length" and rep.status == status
 
     def test_converged_run_plateaus(self, sep_quad):
         cfg = SolverConfig(max_outer_iter=300, residual_tol=1e-13, step_tol=0.0)
         res = run(sep_quad, resolve_strategy_preset("am"), cfg, sep_quad.zeros())
-        assert finite_length_monitor(res.trace).plateau
+        assert finite_length_monitor(res.trace).details["plateau"]
 
 
 class TestEstimateCrossLipschitz:
