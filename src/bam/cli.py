@@ -19,12 +19,17 @@ Config schema (unknown fields are rejected):
   {
     "problem": {"name": str, "parameters": {...}, "seed": int, "x0": str},
     "preset": str | "strategies": [{"kind": str, "alpha_rule": {"kind": str, "value": num}}],
-    "presets": [str, ...],            # compare only
+    "presets": [str, ...],
     "solver": {"max_outer_iter": int, "residual_tol": num, "step_tol": num,
                "inner_tol": num, "inner_max_iter": int, "record_every": int},
     "checks": [str, ...],
     "output": {"trace": str, "report": str}
   }
+
+Each command accepts only the top-level keys it reads (``COMMAND_KEYS``):
+``run`` and ``check`` take "preset" or "strategies" and "checks" but not
+"presets"; ``compare`` takes "presets" but not "preset", "strategies" or
+"checks". "problem", "solver" and "output" are common to all three.
 
 "x0" is "default" (problem-specific start), "zeros", or a {block-id: [..]}
 mapping. ``--seed N`` overrides problem.seed. ``compare`` runs its presets one
@@ -89,7 +94,16 @@ def _require_keys(section, allowed: set[str], where: str) -> dict:
     return dict(section)
 
 
-def load_config(path: str) -> dict:
+# command -> the top-level config keys it reads; any other key is a configuration error
+_RUN_KEYS = {"problem", "preset", "strategies", "solver", "checks", "output"}
+COMMAND_KEYS = {
+    "run": _RUN_KEYS,
+    "check": _RUN_KEYS,
+    "compare": {"problem", "presets", "solver", "output"},
+}
+
+
+def load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -97,9 +111,7 @@ def load_config(path: str) -> dict:
         raise ConfigurationError(f"cannot read config {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config {path!r} line {e.lineno}: {e.msg}") from e
-    return _require_keys(
-        cfg, {"problem", "preset", "strategies", "presets", "solver", "checks", "output"}, "config"
-    )
+    return _require_keys(cfg, COMMAND_KEYS[command], f"{command} config")
 
 
 def _build_sparse_group(params: dict, seed: int) -> Problem:
@@ -386,7 +398,7 @@ def main(argv=None) -> int:
     _setup_logging(args.quiet)
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         if args.command == "compare":
             return cmd_compare(cfg, args)
         return cmd_run(cfg, args)

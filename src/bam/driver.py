@@ -41,8 +41,6 @@ from .prox import inner_exact_min
 
 DIVERGENCE_NORM = 1e12
 
-PRESET_NAMES = ("am", "plam", "aam", "am-plam", "plam-am")
-
 
 @dataclass(frozen=True)
 class AlphaRule:
@@ -144,6 +142,21 @@ class RunResult:
     sweeps: int
 
 
+_EXACT = BlockStrategy("exact")
+_LINEARIZED = BlockStrategy("linearized", AlphaRule("lipschitz_factor", 1.1))
+_AUGMENTED = BlockStrategy("augmented", AlphaRule("constant", 1.0))
+
+# preset name -> (first block's strategy, the other blocks' strategy)
+_PRESETS = {
+    "am": (_EXACT, _EXACT),
+    "plam": (_LINEARIZED, _LINEARIZED),
+    "aam": (_AUGMENTED, _AUGMENTED),
+    "am-plam": (_EXACT, _LINEARIZED),
+    "plam-am": (_LINEARIZED, _EXACT),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def resolve_strategy_preset(name: str, n_blocks: int = 2) -> list[BlockStrategy]:
     """Per-block strategies for the named scheme.
 
@@ -153,20 +166,10 @@ def resolve_strategy_preset(name: str, n_blocks: int = 2) -> list[BlockStrategy]
     am-plam -> first block Exact, remaining blocks Linearized
     plam-am -> first block Linearized, remaining blocks Exact
     """
-    lin = BlockStrategy("linearized", AlphaRule("lipschitz_factor", 1.1))
-    aug = BlockStrategy("augmented", AlphaRule("constant", 1.0))
-    exact = BlockStrategy("exact")
-    if name == "am":
-        return [exact] * n_blocks
-    if name == "plam":
-        return [lin] * n_blocks
-    if name == "aam":
-        return [aug] * n_blocks
-    if name == "am-plam":
-        return [exact] + [lin] * (n_blocks - 1)
-    if name == "plam-am":
-        return [lin] + [exact] * (n_blocks - 1)
-    raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESET_NAMES:  # tuple membership: an unhashable name is rejected, not a TypeError
+        raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    first, rest = _PRESETS[name]
+    return [first] + [rest] * (n_blocks - 1)
 
 
 def validate_strategies(p: Problem, strategies: Sequence[BlockStrategy], x0: BlockVector) -> None:

@@ -7,19 +7,22 @@ subdifferential-distance certificate).
 
 Built-in instances:
 
-* ``separable_quadratic``   -- (y-1)^2 + (y-z)^2 + (z+1)^2, everything in
-  closed form; global minimizer (1/3, -1/3) with optimal value 4/3.
+* ``multiblock_quadratic``  -- n >= 3 scalar blocks coupled pairwise,
+  sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2, with a dense linear
+  solve giving the exact global minimizer.
+* ``separable_quadratic``   -- (y-1)^2 + (y-z)^2 + (z+1)^2, the same coupled
+  quadratic on two blocks (c_yz = 1, t = (1, -1)) and the same oracles; global
+  minimizer (1/3, -1/3) with optimal value 4/3. Its ``_badgrad`` variant adds
+  a +0.1 fault to grad_y H.
 * ``sparse_group``          -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2}
   with a seeded Gaussian A; the z-subproblem has a closed-form groupwise
   shrinkage solution.
-* ``multiblock_quadratic``  -- n >= 3 scalar blocks coupled pairwise, with a
-  dense linear solve giving the exact global minimizer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -149,60 +152,6 @@ def smooth_certificate(grad: Callable[[Array], Array]) -> Callable[[Array, Array
 # built-in instances
 
 
-def build_separable_quadratic() -> Problem:
-    """Desk-scale fixture: f(y)=(y-1)^2, H=(y-z)^2, g(z)=(z+1)^2."""
-
-    def h_value(x: BlockVector) -> float:
-        y, z = x.block(0)[0], x.block(1)[0]
-        return (y - z) ** 2
-
-    def h_grad(x: BlockVector, i: int) -> Array:
-        y, z = x.block(0)[0], x.block(1)[0]
-        g = 2.0 * (y - z)
-        return np.array([g if i == 0 else -g])
-
-    coupling = CouplingOracle(
-        value=h_value,
-        partial_grad=h_grad,
-        partial_lipschitz=lambda x, i: 2.0,
-    )
-
-    def y_exact(x: BlockVector, i: int, alpha: float) -> Array:
-        yk, z = x.block(0)[0], x.block(1)[0]
-        return np.array([(2.0 + 2.0 * z + alpha * yk) / (4.0 + alpha)])
-
-    def z_exact(x: BlockVector, i: int, alpha: float) -> Array:
-        y, zk = x.block(0)[0], x.block(1)[0]
-        return np.array([(-2.0 + 2.0 * y + alpha * zk) / (4.0 + alpha)])
-
-    term_y = BlockTerm(
-        value=lambda u: float((u[0] - 1.0) ** 2),
-        prox=lambda v, tau: (np.asarray(v, dtype=float) + 2.0 * tau) / (1.0 + 2.0 * tau),
-        exact_coupled_min=y_exact,
-        subdiff_certificate=smooth_certificate(lambda u: 2.0 * (np.asarray(u, dtype=float) - 1.0)),
-    )
-    term_z = BlockTerm(
-        value=lambda u: float((u[0] + 1.0) ** 2),
-        prox=lambda v, tau: (np.asarray(v, dtype=float) - 2.0 * tau) / (1.0 + 2.0 * tau),
-        exact_coupled_min=z_exact,
-        subdiff_certificate=smooth_certificate(lambda u: 2.0 * (np.asarray(u, dtype=float) + 1.0)),
-    )
-
-    return Problem(
-        name="separable_quadratic",
-        coupling=coupling,
-        terms=(term_y, term_z),
-        block_ids=("y", "z"),
-        block_dims=(1, 1),
-        default_x0=BlockVector([("y", [0.0]), ("z", [0.0])]),
-        metadata={
-            "minimizer": np.array([1.0 / 3.0, -1.0 / 3.0]),
-            "phi_star": 4.0 / 3.0,
-            "cross_lipschitz": 2.0,
-        },
-    )
-
-
 def build_sparse_group_instance(
     n1: int,
     n2: int,
@@ -299,38 +248,13 @@ def build_sparse_group_instance(
     )
 
 
-def build_multiblock_quadratic(
-    n_blocks: int,
-    seed: int = 0,
-    couplings: Optional[Array] = None,
-    targets: Optional[Array] = None,
-) -> Problem:
-    """n scalar blocks with pairwise quadratic coupling and quadratic terms.
+def _coupled_quadratic(C: Array, t: Array) -> Problem:
+    """Scalar blocks x1..xn with H(x) = sum_{i<j} c_ij (x_i - x_j)^2 and
+    f_i(x_i) = (x_i - t_i)^2, for a symmetric C with zero diagonal.
 
-    H(x) = sum_{i<j} c_ij (x_i - x_j)^2 with c_ij in [0.1, 1],
-    f_i(x_i) = (x_i - t_i)^2 with t_i in [-1, 1]. The global minimizer solves
-    the positive-definite system (I + Laplacian(c)) x = t.
+    The global minimizer solves the positive-definite system
+    (I + Laplacian(C)) x = t.
     """
-    if n_blocks < 3:
-        raise ParameterError(f"n_blocks must be >= 3, got {n_blocks}")
-    rng = np.random.default_rng(seed)
-    if couplings is None:
-        C = np.zeros((n_blocks, n_blocks))
-        iu = np.triu_indices(n_blocks, k=1)
-        C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
-        C = C + C.T
-    else:
-        C = np.asarray(couplings, dtype=float)
-        if C.shape != (n_blocks, n_blocks) or not np.allclose(C, C.T):
-            raise ShapeError("couplings must be a symmetric n x n matrix")
-        C = C * (1.0 - np.eye(n_blocks))
-    if targets is None:
-        t = rng.uniform(-1.0, 1.0, size=n_blocks)
-    else:
-        t = np.asarray(targets, dtype=float).ravel()
-        if t.size != n_blocks:
-            raise ShapeError("targets must have one entry per block")
-
     row_sum = C.sum(axis=1)
 
     def h_value(x: BlockVector) -> float:
@@ -369,13 +293,13 @@ def build_multiblock_quadratic(
     M = np.diag(1.0 + row_sum) - C
     minimizer = np.linalg.solve(M, t)
 
-    block_ids = tuple(f"x{i+1}" for i in range(n_blocks))
+    block_ids = tuple(f"x{i+1}" for i in range(t.size))
     prob = Problem(
         name="multiblock_quadratic",
         coupling=coupling,
-        terms=tuple(make_term(i) for i in range(n_blocks)),
+        terms=tuple(make_term(i) for i in range(t.size)),
         block_ids=block_ids,
-        block_dims=(1,) * n_blocks,
+        block_dims=(1,) * t.size,
         default_x0=BlockVector([(bid, [0.0]) for bid in block_ids]),
         metadata={
             "couplings": C,
@@ -388,6 +312,25 @@ def build_multiblock_quadratic(
         prob, BlockVector([(bid, [minimizer[i]]) for i, bid in enumerate(block_ids)])
     )
     return prob
+
+
+def build_separable_quadratic() -> Problem:
+    """Desk-scale fixture: f(y)=(y-1)^2, H=(y-z)^2, g(z)=(z+1)^2.
+
+    The two-block coupled quadratic with c_yz = 1 and targets (1, -1).
+    """
+    base = _coupled_quadratic(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+    return replace(
+        base,
+        name="separable_quadratic",
+        block_ids=("y", "z"),
+        default_x0=BlockVector([("y", [0.0]), ("z", [0.0])]),
+        metadata={
+            "minimizer": np.array([1.0 / 3.0, -1.0 / 3.0]),
+            "phi_star": 4.0 / 3.0,
+            "cross_lipschitz": 2.0,
+        },
+    )
 
 
 def build_separable_quadratic_badgrad() -> Problem:
@@ -403,19 +346,45 @@ def build_separable_quadratic_badgrad() -> Problem:
             g = g + 0.1
         return g
 
-    return Problem(
+    return replace(
+        base,
         name="separable_quadratic_badgrad",
-        coupling=CouplingOracle(
-            value=base.coupling.value,
-            partial_grad=bad_grad,
-            partial_lipschitz=base.coupling.partial_lipschitz,
-        ),
-        terms=base.terms,
-        block_ids=base.block_ids,
-        block_dims=base.block_dims,
-        default_x0=base.default_x0,
+        coupling=replace(base.coupling, partial_grad=bad_grad),
         metadata={"fault": ("y", 0)},
     )
+
+
+def build_multiblock_quadratic(
+    n_blocks: int,
+    seed: int = 0,
+    couplings: Optional[Array] = None,
+    targets: Optional[Array] = None,
+) -> Problem:
+    """The coupled quadratic of ``_coupled_quadratic`` on n >= 3 scalar blocks.
+
+    The couplings c_ij in [0.1, 1] and the targets t_i in [-1, 1] are drawn
+    from ``seed`` when ``couplings`` or ``targets`` is not given.
+    """
+    if n_blocks < 3:
+        raise ParameterError(f"n_blocks must be >= 3, got {n_blocks}")
+    rng = np.random.default_rng(seed)
+    if couplings is None:
+        C = np.zeros((n_blocks, n_blocks))
+        iu = np.triu_indices(n_blocks, k=1)
+        C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
+        C = C + C.T
+    else:
+        C = np.asarray(couplings, dtype=float)
+        if C.shape != (n_blocks, n_blocks) or not np.allclose(C, C.T):
+            raise ShapeError("couplings must be a symmetric n x n matrix")
+        C = C * (1.0 - np.eye(n_blocks))
+    if targets is None:
+        t = rng.uniform(-1.0, 1.0, size=n_blocks)
+    else:
+        t = np.asarray(targets, dtype=float).ravel()
+        if t.size != n_blocks:
+            raise ShapeError("targets must have one entry per block")
+    return _coupled_quadratic(C, t)
 
 
 def _max_gradient_ratio(

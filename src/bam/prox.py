@@ -78,7 +78,8 @@ def inner_exact_min(
     Uses the constant step 1/L with L = ``smooth_lipschitz``. Stops when the
     prox-gradient residual L*||u_new - u|| drops to ``tol`` ("converged") or
     the iteration cap is hit ("hit-cap"). The returned point never has a
-    larger total objective than the anchor.
+    larger total objective than the anchor: when the last iterate does, the
+    anchor is returned with the flag "ascent-rejected".
     """
     if f_prox is None:
         raise ParameterError("inner solver needs a prox oracle for the block term")
@@ -107,5 +108,5 @@ def inner_exact_min(
     if total(u) > obj_anchor:
         # Defensive: the step rule guarantees monotone descent when L is a
         # valid bound; an underestimated L must not produce an ascent step.
-        return np.asarray(anchor, dtype=float).ravel().copy(), flag
+        return np.asarray(anchor, dtype=float).ravel().copy(), "ascent-rejected"
     return u, flag

@@ -39,6 +39,16 @@ assert counts["driver.run"] == 1 and counts["driver.step_block"] == 6, counts
 assert counts["problem.h_value"] > 0, counts
 # the z prox must reach the group kernel through problem.group_shrink
 assert counts["prox.group_shrink"] > 0, counts
+
+# am's y step runs the inner solver, which the tracer wraps by argument position
+cfg = driver.SolverConfig(max_outer_iter=2, residual_tol=0.0, step_tol=0.0, inner_max_iter=20)
+with instrument(tracer):
+    with tracer.root("solve", timed=True):
+        res = driver.run(wrapped, driver.resolve_strategy_preset("am"), cfg, wrapped.default_x0)
+assert res.sweeps == 2, res
+assert tracer.open_spans() == 0, tracer.open_spans()
+counts = tracer.counts(timed_only=True)
+assert counts["prox.inner_exact_min"] > 0 and counts["prox.inner_iters"] > 0, counts
 """
 
 

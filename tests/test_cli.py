@@ -126,6 +126,7 @@ class TestConfigRejection:
         "mutate",
         [
             lambda c: c.update(preset="sgd"),
+            lambda c: c.update(preset=["am"]),
             lambda c: c.update(extra_field=1),
             lambda c: c["problem"].update(name="unknown_problem"),
             lambda c: c["problem"].update(typo=True),
@@ -197,6 +198,8 @@ class TestConfigRejection:
                 ]),
                 "bad strategies[0].alpha_rule", id="alpha-text",
             ),
+            pytest.param(lambda c: c.update(presets=["am", "aam"]), "['presets']",
+                         id="presets-outside-compare"),
             pytest.param(lambda c: c.update(checks="monotone_descent"),
                          "'checks' must be a list", id="checks-string"),
             pytest.param(lambda c: c["solver"].update(max_outer_iter=1.5),
@@ -259,6 +262,20 @@ class TestCompare:
         cfg["presets"] = ["am"]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["compare", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("preset", "aam"), ("strategies", [{"kind": "exact"}] * 2), ("checks", ["critical_point"])],
+    )
+    def test_run_only_keys_rejected(self, tmp_path, caplog, key, value):
+        cfg = sep_quad_config(solver={"max_outer_iter": 1})
+        del cfg["preset"]
+        cfg["presets"] = ["am", "aam"]
+        cfg[key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["compare", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+        assert f"['{key}']" in caplog.records[-1].getMessage()
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_unknown_preset_rejected_before_running(self, tmp_path):
         cfg = sep_quad_config()

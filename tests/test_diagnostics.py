@@ -109,14 +109,6 @@ class TestSufficientDecrease:
         rep = check_sufficient_decrease(trace)
         assert rep.status == "fail"
 
-    def test_honors_explicit_nu_min(self):
-        trace = make_trace(
-            2.0,
-            [make_record(1, 2.0, (1.5, 1.0), step_blocks=(0.5, 0.5), nus=(0.0, 0.0))],
-        )
-        assert check_sufficient_decrease(trace, nu_min=1.0).passed
-        assert check_sufficient_decrease(trace, nu_min=10.0).status == "fail"
-
 
 class TestSubgradientResidual:
     def test_closed_form_for_one_augmented_sweep(self, sep_quad):

@@ -112,6 +112,30 @@ class TestStepBlock:
         np.testing.assert_array_equal(s.x.block(0), p.default_x0.block(0))
         assert (s.bregman, s.step_sq) == (0.0, 0.0)
 
+    def test_inner_solver_fallback_is_reported_as_rejected(self):
+        # H = 5(y - z)^2 declares L_i = 1 against a true 10, so the inner
+        # solver's 1/L steps ascend and it falls back to the anchor
+        coupling = CouplingOracle(
+            value=lambda x: 5.0 * float((x.block(0)[0] - x.block(1)[0]) ** 2),
+            partial_grad=lambda x, i: 10.0 * (x.block(i) - x.block(1 - i)),
+            partial_lipschitz=lambda x, i: 1.0,
+        )
+        term = BlockTerm(value=lambda u: float(u @ u), prox=lambda v, tau: v / (1.0 + 2.0 * tau))
+        p = Problem(
+            name="underdeclared",
+            coupling=coupling,
+            terms=(term, term),
+            block_ids=("y", "z"),
+            block_dims=(1, 1),
+            default_x0=BlockVector([("y", [0.0]), ("z", [1.0])]),
+        )
+        cfg = SolverConfig(max_outer_iter=1, inner_max_iter=5)
+        res = run(p, [BlockStrategy("exact")] * 2, cfg, p.default_x0)
+        rec = res.trace.records[-1]
+        assert rec.inner_flags[0] == "ascent-rejected"
+        assert rec.step_norm_sq_blocks[0] == 0.0
+        np.testing.assert_array_equal(res.final_x.block(0), [0.0])
+
     def test_rejected_ascent_is_reported_in_the_sweep_record(self):
         p = make_bad_prox_problem()
         strat = BlockStrategy("linearized", AlphaRule("constant", 1.0))
