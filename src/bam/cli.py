@@ -1,4 +1,4 @@
-"""Experiment runner: JSON config in, trace CSV + report JSON out.
+"""Experiment runner: JSON config in, trace CSV (one row per sweep) + report JSON out.
 
 Subcommands:
   run      <config.json>   solve one configuration, run requested checks
@@ -21,7 +21,7 @@ Config schema (unknown fields are rejected):
     "preset": str | "strategies": [{"kind": str, "alpha_rule": {"kind": str, "value": num}}],
     "presets": [str, ...],
     "solver": {"max_outer_iter": int, "residual_tol": num, "step_tol": num,
-               "inner_tol": num, "inner_max_iter": int, "record_every": int},
+               "inner_tol": num, "inner_max_iter": int},
     "checks": [str, ...],
     "output": {"trace": str, "report": str}
   }
@@ -32,8 +32,9 @@ Each command accepts only the top-level keys it reads (``COMMAND_KEYS``):
 "checks". "problem", "solver" and "output" are common to all three.
 
 "x0" is "default" (problem-specific start), "zeros", or a {block-id: [..]}
-mapping. ``--seed N`` overrides problem.seed. ``compare`` runs its presets one
-after another. Environment: BAM_LOG={error|info|debug} sets log verbosity.
+mapping with exactly the problem's block ids. ``--seed N`` overrides
+problem.seed. ``compare`` runs its presets one after another. Environment:
+BAM_LOG={error|info|debug} sets log verbosity.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .driver import (
     IterateTrace,
     RunResult,
     SolverConfig,
+    is_integer,
     make_generator,
     resolve_strategy_preset,
     run,
@@ -115,13 +117,13 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _build_sparse_group(params: dict, seed: int) -> Problem:
-    n1, n2 = int(params["n1"]), int(params["n2"])
+    n1, n2 = params["n1"], params["n2"]
     if "groups" in params and "group_size" in params:
         raise ConfigurationError("give either 'groups' or 'group_size', not both")
     if "groups" in params:
         groups = params["groups"]
     else:
-        gs = int(params.get("group_size", 1))
+        gs = params.get("group_size", 1)
         if gs < 1 or n2 % gs != 0:
             raise ConfigurationError(f"group_size {gs} must be >= 1 and divide n2 = {n2}")
         groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
@@ -154,7 +156,7 @@ PROBLEMS = {
     ),
     "multiblock_quadratic": (
         {"n_blocks"},
-        lambda params, seed: build_multiblock_quadratic(int(params.get("n_blocks", 3)), seed=seed),
+        lambda params, seed: build_multiblock_quadratic(params.get("n_blocks", 3), seed=seed),
     ),
 }
 
@@ -166,6 +168,9 @@ def build_problem(section: dict, seed_override=None) -> Problem:
         raise ConfigurationError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
     allowed, build = PROBLEMS[name]
     params = _require_keys(section.get("parameters", {}), allowed, "problem.parameters")
+    for key in ("n1", "n2", "group_size", "n_blocks"):  # sizes: the solver's integer test
+        if key in params and not is_integer(params[key]):
+            raise ConfigurationError(f"{key} must be an integer, got {params[key]!r}")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
     try:
         return build(params, seed)
@@ -180,9 +185,10 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
     if kind == "zeros":
         return p.zeros()
     if isinstance(kind, dict):
-        missing = set(p.block_ids) - set(kind)
-        if missing:
-            raise ConfigurationError(f"x0 mapping is missing blocks: {sorted(missing)}")
+        if set(kind) != set(p.block_ids):
+            raise ConfigurationError(
+                f"x0 mapping must give exactly the blocks {list(p.block_ids)}, got {sorted(kind)}"
+            )
         try:
             return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
         except (TypeError, ValueError) as e:
@@ -258,7 +264,7 @@ def _report_json(p, preset, result, reports) -> dict:
         "preset": preset,
         "status": result.status,
         "sweeps": result.sweeps,
-        "phi": result.trace.records[-1].phi_end if result.trace.records else result.trace.phi0,
+        "phi": result.trace.phi_series()[-1],
         "residual": final_res,
         "certificate": result.certificate.to_dict(),
         "checks": [r.to_dict() for r in reports],
@@ -319,7 +325,7 @@ def cmd_run(cfg: dict, args) -> int:
         preset,
         result.status,
         result.sweeps,
-        result.trace.records[-1].phi_end if result.trace.records else result.trace.phi0,
+        result.trace.phi_series()[-1],
     )
     for r in reports:
         log.info("check %-28s %s (worst=%.3g)", r.name, r.status, r.worst_violation)
@@ -356,7 +362,7 @@ def cmd_compare(cfg: dict, args) -> int:
             {
                 "preset": name,
                 "status": res.status,
-                "final_phi": res.trace.records[-1].phi_end if res.trace.records else res.trace.phi0,
+                "final_phi": res.trace.phi_series()[-1],
                 "sweeps_to_tol": res.sweeps if res.status == "residual-converged" else None,
                 "total_cum_step": res.trace.records[-1].cum_step if res.trace.records else 0.0,
             }

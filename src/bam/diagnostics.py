@@ -71,33 +71,26 @@ def _jsonable(obj):
 
 
 def check_monotone_descent(trace) -> CheckReport:
-    """Verify the per-sweep descent chain of objective values.
+    """Verify the descent chain phi0, then every sweep's phi after each block.
 
-    Within each recorded sweep the chain is
-    phi_start >= phi after block 1 >= ... >= phi_end, and across consecutive
-    recorded sweeps phi must not increase either. Slack is
-    1e-10 * (1 + |phi at the initial point|).
+    A sweep's margin is its largest increase along the chain, floored at 0.
+    Slack is 1e-10 * (1 + |phi at the initial point|).
     """
+    if not trace.records:
+        return CheckReport("monotone_descent", "inconclusive", note="empty trace")
     slack = 1e-10 * (1.0 + abs(trace.phi0))
-    worst = -math.inf
-    worst_k = -1
     margins = []
     prev_end = trace.phi0
     for rec in trace.records:
-        chain = [prev_end, rec.phi_start, *rec.phi_partials]
-        v = max(b - a for a, b in zip(chain, chain[1:]))
-        margins.append(v)
-        if v > worst:
-            worst, worst_k = v, rec.k
+        chain = [prev_end, *rec.phi_partials]
+        margins.append(max(0.0, *(b - a for a, b in zip(chain, chain[1:]))))
         prev_end = rec.phi_end
-    if not trace.records:
-        return CheckReport("monotone_descent", "inconclusive", note="empty trace")
-    status = "pass" if worst <= slack else "fail"
+    worst = max(margins)
     return CheckReport(
         "monotone_descent",
-        status,
+        "pass" if worst <= slack else "fail",
         worst_violation=worst,
-        worst_iteration=worst_k,
+        worst_iteration=trace.records[margins.index(worst)].k,
         details={"slack": slack, "margins": margins},
     )
 
@@ -105,6 +98,7 @@ def check_monotone_descent(trace) -> CheckReport:
 def check_sufficient_decrease(trace) -> CheckReport:
     """Verify the sufficient-decrease inequality per sweep and per block.
 
+    Each sweep starts from the previous one's phi_end (the first from phi0).
     Total form: phi(x^k) - phi(x^{k+1}) >= (nu_total/2) * ||x^k - x^{k+1}||^2,
     with nu_total the smallest block modulus over the trace, checked when
     every block's generator modulus is positive. Blocks with a
@@ -129,9 +123,10 @@ def check_sufficient_decrease(trace) -> CheckReport:
     worst = -math.inf
     worst_k = -1
     min_ratio = math.inf
+    prev = trace.phi0
     for rec in trace.records:
+        drop = prev - rec.phi_end  # prev is still phi at the start of the sweep
         # per-block: objective drop while updating block i alone
-        prev = rec.phi_start
         for i, part in enumerate(rec.phi_partials):
             nu_i = rec.nu_blocks[i]
             if nu_i > 0.0:
@@ -141,7 +136,6 @@ def check_sufficient_decrease(trace) -> CheckReport:
             prev = part
         # total form, only meaningful when every block is strongly convex
         if nu_total > 0.0:
-            drop = rec.phi_start - rec.phi_end
             v = 0.5 * nu_total * rec.step_norm_sq - drop - tol
             if v > worst:
                 worst, worst_k = v, rec.k
@@ -223,10 +217,10 @@ def check_residual_bound(trace, l_hat: Optional[float] = None, l_cross: Optional
 def check_residual_vanishes(trace, l_hat: float = 1.0) -> CheckReport:
     """Trend surrogate for the residual converging to zero.
 
-    Passes iff (a) the median residual over the last 10% of recorded sweeps
-    is at most 10 * (median step norm over the same tail) * l_hat, and
-    (b) the final residual is strictly below the minimum of the first 10
-    recorded residuals. Inconclusive with fewer than 20 records.
+    Passes iff (a) the median residual over the last 10% of sweeps is at
+    most 10 * (median step norm over the same tail) * l_hat, and (b) the
+    final residual is strictly below the minimum of the first 10 sweeps'
+    residuals. Inconclusive with fewer than 20 sweeps.
     """
     n = len(trace.records)
     if n < 20:
@@ -338,7 +332,7 @@ def gradcheck(
 def finite_length_monitor(trace, converged: bool = False) -> CheckReport:
     """Empirical surrogate for the finite-length property of the iterates.
 
-    The plateau flag is set when the last 10% of recorded sweeps contribute
+    The plateau flag is set when the last 10% of sweeps contribute
     less than 1% of the total path length (the ``cum_step`` curve). The check
     passes on a plateau. Without one it fails when the run ``converged`` (it
     stopped on a tolerance while its path was still growing), and is

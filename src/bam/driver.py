@@ -77,6 +77,11 @@ class BlockStrategy:
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
 
 
+def is_integer(n) -> bool:
+    """True for an int or a numpy integer, but not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iter: int = 1000
@@ -84,12 +89,11 @@ class SolverConfig:
     step_tol: float = 1e-12
     inner_tol: float = 1e-10
     inner_max_iter: int = 5000
-    record_every: int = 1
 
     def __post_init__(self):
-        for name in ("max_outer_iter", "inner_max_iter", "record_every"):
+        for name in ("max_outer_iter", "inner_max_iter"):
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            if not is_integer(n) or n < 1:
                 raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
         if not all(t >= 0 for t in (self.residual_tol, self.step_tol, self.inner_tol)):
             raise ParameterError("tolerances must be nonnegative numbers")
@@ -100,11 +104,8 @@ class SweepRecord:
     """Everything recorded about one outer sweep k -> k+1."""
 
     k: int
-    phi_start: float
     phi_partials: tuple[float, ...]  # objective after each block update
-    phi_end: float
     step_norm_sq_blocks: tuple[float, ...]
-    step_norm_sq: float
     bregman_paid: float
     residual: float
     cum_step: float
@@ -115,6 +116,14 @@ class SweepRecord:
     @property
     def phi_half(self) -> float:
         return self.phi_partials[0]
+
+    @property
+    def phi_end(self) -> float:
+        return self.phi_partials[-1]
+
+    @property
+    def step_norm_sq(self) -> float:
+        return float(sum(self.step_norm_sq_blocks))
 
     @property
     def inner_flag(self) -> str:
@@ -139,7 +148,10 @@ class RunResult:
     trace: IterateTrace
     status: str  # residual-converged | step-converged | max-iter | diverged
     certificate: "_diag.CheckReport"
-    sweeps: int
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.trace.records)
 
 
 _EXACT = BlockStrategy("exact")
@@ -358,28 +370,23 @@ def run(
 ) -> RunResult:
     """Run Gauss-Seidel sweeps until a stopping rule fires.
 
-    Stopping order per sweep: divergence guard, residual_tol on the
-    subgradient residual norm, step_tol on the full-sweep step norm,
-    max_outer_iter. The trace records every ``record_every``-th sweep and
-    always the final one.
+    The trace records every completed sweep. Stopping order per sweep:
+    divergence guard, residual_tol on the subgradient residual norm, step_tol
+    on the full-sweep step norm, max_outer_iter.
     """
     if not p.matches(x0):
         raise ConfigurationError(f"x0 structure does not match problem {p.name!r}")
     validate_strategies(p, strategies, x0)
 
     x = x0
-    phi0 = phi_value(p, x0)
     h = float(p.coupling.value(x0))
     fs = [float(term.value(x0.block(i))) for i, term in enumerate(p.terms)]
-    trace = IterateTrace(phi0=phi0, block_ids=p.block_ids)
+    trace = IterateTrace(phi0=phi_value(p, x0), block_ids=p.block_ids)
     cum_step = 0.0
     status = "max-iter"
-    sweeps = 0
-    phi_end = phi0
 
     for k in range(1, cfg.max_outer_iter + 1):
         x_prev = x
-        phi_start = phi_end
         steps: list[BlockStep] = []
         partials: list[float] = []
         bregman_paid = 0.0
@@ -402,44 +409,34 @@ def run(
             status = "diverged"
             x = x_prev
             break
-        phi_end = partials[-1]
-        step_sq_blocks = [s.step_sq for s in steps]
-        step_sq = float(sum(step_sq_blocks))
-        cum_step += math.sqrt(step_sq)
-        sweeps = k
-
-        diverged = math.sqrt(sum(float(a @ a) for a in x.arrays)) > DIVERGENCE_NORM
-
+        step_sq_blocks = tuple(s.step_sq for s in steps)
+        step_norm = math.sqrt(float(sum(step_sq_blocks)))
+        cum_step += step_norm
+        trace.records.append(
+            SweepRecord(
+                k=k,
+                phi_partials=tuple(partials),
+                step_norm_sq_blocks=step_sq_blocks,
+                bregman_paid=bregman_paid,
+                residual=res_norm,
+                cum_step=cum_step,
+                inner_flags=tuple(s.flag for s in steps),
+                nu_blocks=tuple(s.gen.modulus_nu for s in steps),
+                lip_blocks=tuple(s.gen.lipschitz_L for s in steps),
+            )
+        )
         if callback is not None:
             callback(k, x)
 
-        stopping = diverged or res_norm <= cfg.residual_tol or math.sqrt(step_sq) <= cfg.step_tol
-        if k % cfg.record_every == 0 or stopping or k == cfg.max_outer_iter:
-            trace.records.append(
-                SweepRecord(
-                    k=k,
-                    phi_start=phi_start,
-                    phi_partials=tuple(partials),
-                    phi_end=phi_end,
-                    step_norm_sq_blocks=tuple(step_sq_blocks),
-                    step_norm_sq=step_sq,
-                    bregman_paid=bregman_paid,
-                    residual=res_norm,
-                    cum_step=cum_step,
-                    inner_flags=tuple(s.flag for s in steps),
-                    nu_blocks=tuple(s.gen.modulus_nu for s in steps),
-                    lip_blocks=tuple(s.gen.lipschitz_L for s in steps),
-                )
-            )
-        if diverged:
+        if math.sqrt(sum(float(a @ a) for a in x.arrays)) > DIVERGENCE_NORM:
             status = "diverged"
             break
         if res_norm <= cfg.residual_tol:
             status = "residual-converged"
             break
-        if math.sqrt(step_sq) <= cfg.step_tol:
+        if step_norm <= cfg.step_tol:
             status = "step-converged"
             break
 
     certificate = _diag.critical_point_certificate(p, x, tol=1e-6)
-    return RunResult(final_x=x, trace=trace, status=status, certificate=certificate, sweeps=sweeps)
+    return RunResult(final_x=x, trace=trace, status=status, certificate=certificate)

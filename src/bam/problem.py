@@ -430,13 +430,10 @@ def estimate_partial_lipschitz(
 
     Samples probe pairs in block i around ``x`` with the other blocks fixed,
     takes the largest ratio ||grad_i H(u) - grad_i H(w)|| / ||u - w||, and
-    multiplies by a safety factor. The result is capped at the declared
-    constant when the coupling exposes one.
+    multiplies by a safety factor. The declared ``partial_lipschitz`` plays no
+    part, so an estimate above ``safety`` times it shows the declared constant
+    is too small.
     """
     if probes < 2:
         raise ParameterError("probes must be >= 2")
-    est = safety * _max_gradient_ratio(p, x, i, i, probes, seed)
-    declared = p.coupling.partial_lipschitz(x, i)
-    if declared is not None and math.isfinite(declared):
-        est = min(est, float(declared))
-    return est
+    return safety * _max_gradient_ratio(p, x, i, i, probes, seed)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from bam.blockvec import BlockVector
 from bam.problem import (
+    BlockTerm,
+    CouplingOracle,
+    Problem,
     build_multiblock_quadratic,
     build_separable_quadratic,
     build_sparse_group_instance,
@@ -23,6 +27,24 @@ def sparse_group():
 @pytest.fixture(scope="session")
 def multiblock():
     return build_multiblock_quadratic(4, seed=3)
+
+
+def make_underdeclared_problem():
+    """H = 5(y - z)^2 on scalar blocks, declaring L_i = 1 against a true 10."""
+    coupling = CouplingOracle(
+        value=lambda x: 5.0 * float((x.block(0)[0] - x.block(1)[0]) ** 2),
+        partial_grad=lambda x, i: 10.0 * (x.block(i) - x.block(1 - i)),
+        partial_lipschitz=lambda x, i: 1.0,
+    )
+    term = BlockTerm(value=lambda u: float(u @ u), prox=lambda v, tau: v / (1.0 + 2.0 * tau))
+    return Problem(
+        name="underdeclared",
+        coupling=coupling,
+        terms=(term, term),
+        block_ids=("y", "z"),
+        block_dims=(1, 1),
+        default_x0=BlockVector([("y", [0.0]), ("z", [1.0])]),
+    )
 
 
 def grid_min_1d(obj, lo=-5.0, hi=5.0, step=1e-4):

@@ -49,6 +49,26 @@ assert res.sweeps == 2, res
 assert tracer.open_spans() == 0, tracer.open_spans()
 counts = tracer.counts(timed_only=True)
 assert counts["prox.inner_exact_min"] > 0 and counts["prox.inner_iters"] > 0, counts
+
+# `bam check` goes through the cli wrappers: file i/o, the problem builder,
+# the pre-run checks and the trace and report writers
+import json, tempfile
+import bam.cli as cli
+with tempfile.TemporaryDirectory() as out:
+    config = out + "/config.json"
+    with open(config, "w") as fh:
+        json.dump({{"problem": {{"name": "multiblock_quadratic", "parameters": {{"n_blocks": 3}},
+                               "seed": 1}},
+                   "preset": "plam", "solver": {{"residual_tol": 1e-10}}}}, fh)
+    with instrument(tracer):
+        with tracer.root("check", timed=True):
+            code = cli.main(["check", config, "--out-dir", out, "--quiet"])
+assert code == 0, code
+assert tracer.open_spans() == 0, tracer.open_spans()
+counts = tracer.counts(timed_only=True)
+expected = {{"cli.file_write": 2, "cli.write_trace_csv": 1, "bregman.check_convexity": 3,
+            "diagnostics.gradcheck": 1, "problem.build": 1}}
+assert {{k: counts.get(k) for k in expected}} == expected, counts
 """
 
 

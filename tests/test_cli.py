@@ -185,6 +185,23 @@ class TestConfigRejection:
                          id="output-number"),
             pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
                          "bad x0 mapping", id="x0-text"),
+            pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": [0], "w": [3]}),
+                         "x0 mapping must give exactly the blocks", id="x0-unknown-block"),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 6.5, "n2": 4, "group_size": 2}}),
+                "n1 must be an integer, got 6.5", id="n1-float",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 6, "n2": 4, "group_size": 2.9}}),
+                "group_size must be an integer, got 2.9", id="group-size-float",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "multiblock_quadratic", "parameters": {"n_blocks": 4.9}}),
+                "n_blocks must be an integer, got 4.9", id="n-blocks-float",
+            ),
             pytest.param(with_strategies(["exact", "exact"]),
                          "strategies[0] must be a JSON object", id="strategy-string"),
             pytest.param(with_strategies([{"alpha_rule": None}, {}]),
@@ -206,6 +223,8 @@ class TestConfigRejection:
                          "max_outer_iter must be an integer", id="max-outer-iter-float"),
             pytest.param(lambda c: c["solver"].update(inner_max_iter=0),
                          "inner_max_iter must be an integer", id="inner-max-iter-0"),
+            pytest.param(lambda c: c["solver"].update(record_every=5),
+                         "unknown field(s) in solver: ['record_every']", id="record-every"),
         ],
     )
     def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):

@@ -24,15 +24,12 @@ from bam.problem import build_separable_quadratic_badgrad
 from conftest import mixed_point_corrections
 
 
-def make_record(k, phi_start, phi_partials, *, step_blocks=(1.0, 1.0), residual=0.0,
+def make_record(k, phi_partials, *, step_blocks=(1.0, 1.0), residual=0.0,
                 cum_step=0.0, nus=(0.0, 0.0), lips=(0.0, 0.0)):
     return SweepRecord(
         k=k,
-        phi_start=phi_start,
         phi_partials=tuple(phi_partials),
-        phi_end=phi_partials[-1],
         step_norm_sq_blocks=tuple(step_blocks),
-        step_norm_sq=float(sum(step_blocks)),
         bregman_paid=0.0,
         residual=residual,
         cum_step=cum_step,
@@ -48,7 +45,7 @@ def make_trace(phi0, records):
 
 class TestMonotoneDescent:
     def test_flags_increase_with_location_and_size(self):
-        trace = make_trace(1.0, [make_record(1, 1.0, (1.5, 1.2))])
+        trace = make_trace(1.0, [make_record(1, (1.5, 1.2))])
         rep = check_monotone_descent(trace)
         assert rep.status == "fail"
         assert rep.worst_violation == pytest.approx(0.5)
@@ -57,15 +54,15 @@ class TestMonotoneDescent:
     def test_flags_increase_across_sweeps(self):
         trace = make_trace(
             1.0,
-            [make_record(1, 1.0, (0.8, 0.6)), make_record(2, 0.9, (0.5, 0.4))],
+            [make_record(1, (0.8, 0.6)), make_record(2, (0.9, 0.4))],
         )
-        # sweep 2 claims to start at 0.9 > previous end 0.6
+        # sweep 2's first block rises to 0.9 above sweep 1's end 0.6
         rep = check_monotone_descent(trace)
         assert rep.status == "fail"
         assert rep.worst_iteration == 2
 
     def test_accepts_weak_decrease_within_slack(self):
-        trace = make_trace(1.0, [make_record(1, 1.0, (1.0, 1.0 - 5e-11))])
+        trace = make_trace(1.0, [make_record(1, (1.0, 1.0 - 5e-11))])
         assert check_monotone_descent(trace).passed
 
     def test_empty_trace_inconclusive(self):
@@ -104,7 +101,7 @@ class TestSufficientDecrease:
         # drop 0.5 against nu/2 * step^2 = 1.0
         trace = make_trace(
             2.0,
-            [make_record(1, 2.0, (1.8, 1.5), step_blocks=(0.5, 0.5), nus=(2.0, 2.0), lips=(2.0, 2.0))],
+            [make_record(1, (1.8, 1.5), step_blocks=(0.5, 0.5), nus=(2.0, 2.0), lips=(2.0, 2.0))],
         )
         rep = check_sufficient_decrease(trace)
         assert rep.status == "fail"
@@ -166,34 +163,32 @@ class TestResidualBound:
         assert rep.passed
 
     def test_fails_with_too_small_constant(self):
-        trace = make_trace(1.0, [make_record(1, 1.0, (0.9, 0.8), residual=1.0)])
+        trace = make_trace(1.0, [make_record(1, (0.9, 0.8), residual=1.0)])
         rep = check_residual_bound(trace, l_hat=0.0)
         assert rep.status == "fail"
         assert rep.worst_violation == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_a_constant(self):
-        trace = make_trace(1.0, [make_record(1, 1.0, (0.9, 0.8))])
+        trace = make_trace(1.0, [make_record(1, (0.9, 0.8))])
         with pytest.raises(ParameterError):
             check_residual_bound(trace)
 
 
 class TestResidualVanishes:
     def test_short_trace_inconclusive(self):
-        recs = [make_record(k, 1.0, (0.9, 0.8)) for k in range(1, 11)]
+        recs = [make_record(k, (0.9, 0.8)) for k in range(1, 11)]
         assert check_residual_vanishes(make_trace(1.0, recs)).status == "inconclusive"
 
     def test_constant_residual_fails(self):
         recs = [
-            make_record(k, 1.0, (0.9, 0.8), step_blocks=(0.0, 0.0), residual=1.0)
+            make_record(k, (0.9, 0.8), step_blocks=(0.0, 0.0), residual=1.0)
             for k in range(1, 31)
         ]
         assert check_residual_vanishes(make_trace(1.0, recs)).status == "fail"
 
     def test_decaying_residual_passes(self):
         recs = [
-            make_record(
-                k, 1.0, (0.9, 0.8), step_blocks=(0.5 * 0.5**k, 0.5 * 0.5**k), residual=0.5**k
-            )
+            make_record(k, (0.9, 0.8), step_blocks=(0.5 * 0.5**k, 0.5 * 0.5**k), residual=0.5**k)
             for k in range(1, 41)
         ]
         assert check_residual_vanishes(make_trace(1.0, recs), l_hat=2.0).passed
@@ -264,13 +259,13 @@ class TestFiniteLength:
 
     def test_plateau_detected(self):
         cums = [1.0 - 0.5**k for k in range(1, 61)]
-        recs = [make_record(k + 1, 1.0, (0.9, 0.8), cum_step=c) for k, c in enumerate(cums)]
+        recs = [make_record(k + 1, (0.9, 0.8), cum_step=c) for k, c in enumerate(cums)]
         rep = finite_length_monitor(make_trace(1.0, recs))
         assert rep.details["plateau"]
         assert rep.details["total_length"] == pytest.approx(cums[-1])
 
     def test_linear_growth_is_not_a_plateau(self):
-        recs = [make_record(k, 1.0, (0.9, 0.8), cum_step=0.1 * k) for k in range(1, 61)]
+        recs = [make_record(k, (0.9, 0.8), cum_step=0.1 * k) for k in range(1, 61)]
         assert not finite_length_monitor(make_trace(1.0, recs)).details["plateau"]
 
     @pytest.mark.parametrize(
@@ -284,7 +279,7 @@ class TestFiniteLength:
         ids=["plateau", "plateau-converged", "no-plateau-unconverged", "no-plateau-converged"],
     )
     def test_status_rule(self, cum_step, converged, status):
-        recs = [make_record(k, 1.0, (0.9, 0.8), cum_step=cum_step(k)) for k in range(1, 61)]
+        recs = [make_record(k, (0.9, 0.8), cum_step=cum_step(k)) for k in range(1, 61)]
         rep = finite_length_monitor(make_trace(1.0, recs), converged=converged)
         assert rep.name == "finite_length" and rep.status == status
 

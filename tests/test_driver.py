@@ -20,7 +20,7 @@ from bam.driver import (
 from bam.errors import ConfigurationError, ParameterError
 from bam.problem import BlockTerm, CouplingOracle, Problem, phi_value
 
-from conftest import grid_min_1d, mixed_point_corrections
+from conftest import grid_min_1d, make_underdeclared_problem, mixed_point_corrections
 
 
 def step(p, x, i, strategy, cfg=SolverConfig()):
@@ -113,22 +113,9 @@ class TestStepBlock:
         assert (s.bregman, s.step_sq) == (0.0, 0.0)
 
     def test_inner_solver_fallback_is_reported_as_rejected(self):
-        # H = 5(y - z)^2 declares L_i = 1 against a true 10, so the inner
-        # solver's 1/L steps ascend and it falls back to the anchor
-        coupling = CouplingOracle(
-            value=lambda x: 5.0 * float((x.block(0)[0] - x.block(1)[0]) ** 2),
-            partial_grad=lambda x, i: 10.0 * (x.block(i) - x.block(1 - i)),
-            partial_lipschitz=lambda x, i: 1.0,
-        )
-        term = BlockTerm(value=lambda u: float(u @ u), prox=lambda v, tau: v / (1.0 + 2.0 * tau))
-        p = Problem(
-            name="underdeclared",
-            coupling=coupling,
-            terms=(term, term),
-            block_ids=("y", "z"),
-            block_dims=(1, 1),
-            default_x0=BlockVector([("y", [0.0]), ("z", [1.0])]),
-        )
+        # L_i is declared 1 against a true 10, so the inner solver's 1/L
+        # steps ascend and it falls back to the anchor
+        p = make_underdeclared_problem()
         cfg = SolverConfig(max_outer_iter=1, inner_max_iter=5)
         res = run(p, [BlockStrategy("exact")] * 2, cfg, p.default_x0)
         rec = res.trace.records[-1]
@@ -214,10 +201,8 @@ class TestValidation:
             SolverConfig(residual_tol=-1.0)
         with pytest.raises(ParameterError):
             SolverConfig(step_tol=float("nan"))
-        with pytest.raises(ParameterError):
-            SolverConfig(record_every=0)
 
-    @pytest.mark.parametrize("name", ["max_outer_iter", "inner_max_iter", "record_every"])
+    @pytest.mark.parametrize("name", ["max_outer_iter", "inner_max_iter"])
     @pytest.mark.parametrize("bad", [0, -3, 1.5, 2.0, "5", True, None])
     def test_iteration_counts_are_integers_at_least_one(self, name, bad):
         with pytest.raises(ParameterError, match=name):
@@ -246,7 +231,7 @@ def test_am_first_sweep_closed_form(sep_quad):
     assert res.final_x.block(0)[0] == pytest.approx(0.5, abs=1e-14)
     assert res.final_x.block(1)[0] == pytest.approx(-0.25, abs=1e-14)
     rec = res.trace.records[0]
-    assert rec.phi_start == pytest.approx(2.0)
+    assert res.trace.phi0 == pytest.approx(2.0)
     assert rec.phi_half == pytest.approx(phi_value(sep_quad, sep_quad.zeros().with_block(0, [0.5])))
     assert rec.phi_end == pytest.approx(phi_value(sep_quad, res.final_x))
 
@@ -278,10 +263,11 @@ def test_trace_invariants(multiblock):
         assert r.residual >= 0.0
 
 
-def test_record_every_keeps_final_sweep(multiblock):
-    cfg = SolverConfig(max_outer_iter=17, residual_tol=0.0, step_tol=0.0, record_every=5)
+def test_every_sweep_is_recorded(multiblock):
+    cfg = SolverConfig(max_outer_iter=17, residual_tol=0.0, step_tol=0.0)
     res = run(multiblock, resolve_strategy_preset("am", 4), cfg, multiblock.default_x0)
-    assert [r.k for r in res.trace.records] == [5, 10, 15, 17]
+    assert [r.k for r in res.trace.records] == list(range(1, 18))
+    assert res.sweeps == 17
     assert res.status == "max-iter"
 
 

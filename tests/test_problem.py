@@ -13,7 +13,7 @@ from bam.problem import (
     phi_value,
 )
 
-from conftest import GROUPS_8x5
+from conftest import GROUPS_8x5, make_underdeclared_problem
 
 
 def fd_partial(p, x, i, j, h=1e-6):
@@ -197,7 +197,14 @@ class TestEstimatePartialLipschitz:
 
     def test_sparse_group_block_z(self, sparse_group):
         est = estimate_partial_lipschitz(sparse_group, sparse_group.default_x0, 1, probes=20, seed=0)
-        assert 2.0 <= est <= 3.0
+        # grad_z H = 2(z - Ay) has modulus exactly 2; safety factor 1.5
+        assert est == pytest.approx(3.0, rel=1e-12)
+
+    def test_reveals_an_underdeclared_constant(self):
+        p = make_underdeclared_problem()
+        # the true modulus 10 times the safety factor, not the declared 1
+        est = estimate_partial_lipschitz(p, p.default_x0, 0, probes=20, seed=0)
+        assert est == pytest.approx(15.0, rel=1e-12)
 
     def test_decoupled_gives_zero(self):
         p = _decoupled_problem()
