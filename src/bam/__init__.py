@@ -3,7 +3,7 @@ generator choice reproduces exact, linearized, and augmented alternating
 minimization (and their hybrids), with diagnostics that verify the scheme's
 descent and convergence properties at runtime."""
 
-from .blockvec import BlockVector, combine, norm_sq
+from .blockvec import BlockVector, norm_sq
 from .bregman import (
     BregmanGenerator,
     bregman_distance,
@@ -52,7 +52,6 @@ __all__ = [
     "build_separable_quadratic",
     "build_sparse_group_instance",
     "check_generator_convexity",
-    "combine",
     "estimate_partial_lipschitz",
     "group_soft_threshold",
     "inner_exact_min",

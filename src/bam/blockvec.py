@@ -95,16 +95,6 @@ class BlockVector:
             a.size == b.size for a, b in zip(self._arrays, other._arrays)
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockVector):
-            return NotImplemented
-        return self.same_structure(other) and all(
-            np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays)
-        )
-
-    def __hash__(self):
-        return hash((self._ids, tuple(a.tobytes() for a in self._arrays)))
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{bid}[{a.size}]" for bid, a in zip(self._ids, self._arrays))
         return f"BlockVector({parts})"
@@ -114,11 +104,3 @@ def norm_sq(v: BlockVector) -> float:
     """Squared Euclidean norm over all blocks."""
     return float(sum(a @ a for a in v.arrays))
 
-
-def combine(a: float, u: BlockVector, b: float, v: BlockVector) -> BlockVector:
-    """Blockwise linear combination a*u + b*v. Structures must match."""
-    if not u.same_structure(v):
-        raise ShapeError(f"block structure mismatch: {u!r} vs {v!r}")
-    return BlockVector(
-        [(bid, a * x + b * y) for bid, x, y in zip(u.ids, u.arrays, v.arrays)]
-    )

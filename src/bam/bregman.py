@@ -77,10 +77,8 @@ def bregman_distance(gen: BregmanGenerator, x: Array, y: Array) -> float:
     return val
 
 
-def make_zero_generator(dim: int) -> BregmanGenerator:
+def make_zero_generator() -> BregmanGenerator:
     """phi identically zero; B_phi vanishes everywhere."""
-    if dim < 1:
-        raise ParameterError("dim must be >= 1")
     return BregmanGenerator(
         value=lambda x: 0.0,
         gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -90,10 +88,8 @@ def make_zero_generator(dim: int) -> BregmanGenerator:
     )
 
 
-def make_augmented_generator(alpha: float, dim: int) -> BregmanGenerator:
+def make_augmented_generator(alpha: float) -> BregmanGenerator:
     """phi(x) = (alpha/2)||x||^2, so B_phi(x, y) = (alpha/2)||x - y||^2."""
-    if dim < 1:
-        raise ParameterError("dim must be >= 1")
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     return BregmanGenerator(
@@ -110,7 +106,6 @@ def make_linearization_generator(
     h_value: Callable[[Array], float],
     h_grad: Callable[[Array], Array],
     l_partial: float,
-    label: str = "",
 ) -> BregmanGenerator:
     """phi(x) = (alpha/2)||x||^2 - H(x, frozen other blocks).
 
@@ -148,5 +143,5 @@ def make_linearization_generator(
         gradient=gradient,
         modulus_nu=alpha - l_partial,
         lipschitz_L=alpha + l_partial,
-        label=label or f"plam({alpha:g})",
+        label=f"plam({alpha:g})",
     )

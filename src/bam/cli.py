@@ -59,6 +59,7 @@ from .driver import (
     RunResult,
     SolverConfig,
     is_integer,
+    is_real,
     make_generator,
     resolve_strategy_preset,
     run,
@@ -171,7 +172,12 @@ def build_problem(section: dict, seed_override=None) -> Problem:
     for key in ("n1", "n2", "group_size", "n_blocks"):  # sizes: the solver's integer test
         if key in params and not is_integer(params[key]):
             raise ConfigurationError(f"{key} must be an integer, got {params[key]!r}")
+    for key in ("lambda1", "lambda2"):
+        if key in params and not is_real(params[key]):
+            raise ConfigurationError(f"{key} must be a number, got {params[key]!r}")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
+    if not is_integer(seed):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     try:
         return build(params, seed)
     except (KeyError, TypeError, ValueError, OSError) as e:
@@ -212,10 +218,12 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
             rule = None
             if "alpha_rule" in s:
                 r = _require_keys(s["alpha_rule"], {"kind", "value"}, f"strategies[{i}].alpha_rule")
-                try:
-                    rule = AlphaRule(r.get("kind"), float(r.get("value")))
-                except (TypeError, ValueError) as e:
-                    raise ConfigurationError(f"bad strategies[{i}].alpha_rule: {e}") from e
+                value = r.get("value")
+                if not is_real(value):
+                    raise ConfigurationError(
+                        f"bad strategies[{i}].alpha_rule: value must be a number, got {value!r}"
+                    )
+                rule = AlphaRule(r.get("kind"), float(value))
             out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
         return out, "custom"
     raise ConfigurationError("config needs 'preset' or 'strategies'")
@@ -233,9 +241,9 @@ def fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_trace_csv(trace: IterateTrace, path: Path, preset: str | None = None) -> None:
+def write_trace_csv(trace: IterateTrace, path: Path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(_trace_csv_text(trace, preset))
+        fh.write(_trace_csv_text(trace))
 
 
 def _trace_csv_text(trace: IterateTrace, preset: str | None = None) -> str:

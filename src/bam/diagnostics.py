@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .blockvec import BlockVector
 from .bregman import BregmanGenerator
 from .errors import ConfigurationError, EvaluationError, ParameterError
-from .problem import Problem, _max_gradient_ratio
+from .problem import SAFETY, Problem, _max_gradient_ratio
 
 
 @dataclass
@@ -111,7 +111,7 @@ def check_sufficient_decrease(trace) -> CheckReport:
     if not trace.records:
         return CheckReport("sufficient_decrease", "inconclusive", note="empty trace")
 
-    block_nus = [min(rec.nu_blocks[i] for rec in trace.records) for i in range(len(trace.block_ids))]
+    block_nus = [min(nus) for nus in zip(*(rec.nu_blocks for rec in trace.records))]
     nu_total = min(block_nus)
     if max(block_nus) <= 0.0:
         return CheckReport(
@@ -186,22 +186,19 @@ def subgradient_residual(
     return v, math.sqrt(sum(float(a @ a) for a in v))
 
 
-def check_residual_bound(trace, l_hat: Optional[float] = None, l_cross: Optional[float] = None) -> CheckReport:
+def check_residual_bound(trace, l_cross: float) -> CheckReport:
     """Verify ||v^{k+1}|| <= L_hat * ||x^{k+1} - x^k|| + 1e-10 per sweep.
 
-    L_hat defaults to sqrt(2) * (l_cross + max generator Lipschitz constant
-    over the sweep), the constant the residual construction supports.
+    L_hat is sqrt(2) * (l_cross + the sweep's largest finite generator
+    Lipschitz constant), the constant the residual construction supports.
     """
     tol = 1e-10
     if not trace.records:
         return CheckReport("residual_bound", "inconclusive", note="empty trace")
-    if l_hat is None and l_cross is None:
-        raise ParameterError("supply l_hat or l_cross")
     worst = -math.inf
     worst_k = -1
     for rec in trace.records:
-        bound_const = _l_hat(l_cross, [rec]) if l_hat is None else l_hat
-        v = rec.residual - bound_const * math.sqrt(rec.step_norm_sq) - tol
+        v = rec.residual - _l_hat(l_cross, [rec]) * math.sqrt(rec.step_norm_sq) - tol
         if v > worst:
             worst, worst_k = v, rec.k
     status = "pass" if worst <= 0.0 else "fail"
@@ -210,11 +207,11 @@ def check_residual_bound(trace, l_hat: Optional[float] = None, l_cross: Optional
         status,
         worst_violation=worst,
         worst_iteration=worst_k,
-        details={"l_hat": l_hat, "l_cross": l_cross},
+        details={"l_cross": l_cross},
     )
 
 
-def check_residual_vanishes(trace, l_hat: float = 1.0) -> CheckReport:
+def check_residual_vanishes(trace, l_hat: float) -> CheckReport:
     """Trend surrogate for the residual converging to zero.
 
     Passes iff (a) the median residual over the last 10% of sweeps is at
@@ -286,23 +283,23 @@ def gradcheck(
     x: BlockVector,
     rel_step: float = 1e-5,
     probes: int = 10,
-    seed: int = 0,
     tol: float = 1e-6,
 ) -> CheckReport:
     """Central-difference validation of every partial gradient of H.
 
-    Probes seeded points around ``x``; relative error per coordinate is
-    |fd - g| / (1 + |g|).
+    Probes points around ``x`` drawn from seed 0; relative error per
+    coordinate is |fd - g| / (1 + |g|).
     """
     if rel_step <= 0:
         raise ParameterError("rel_step must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    dims = p.block_dims
     worst = 0.0
     worst_loc = None
     for pr in range(probes):
         xp = x
-        for i in range(p.n_blocks):
-            xp = xp.with_block(i, x.block(i) + rng.standard_normal(p.block_dims[i]))
+        for i, dim in enumerate(dims):
+            xp = xp.with_block(i, x.block(i) + rng.standard_normal(dim))
         for i in range(p.n_blocks):
             g = np.asarray(p.coupling.partial_grad(xp, i), dtype=float).ravel()
             base = xp.block(i)
@@ -400,13 +397,13 @@ def estimate_cross_lipschitz(
     vary_block: int,
     probes: int = 20,
     seed: int = 0,
-    safety: float = 1.5,
 ) -> float:
     """Empirical bound on ||grad_i H(.., u, ..) - grad_i H(.., w, ..)|| / ||u - w||
-    where block ``vary_block`` (!= grad_block) moves and the rest stay at x."""
+    where block ``vary_block`` (!= grad_block) moves and the rest stay at x,
+    times ``problem.SAFETY``."""
     if grad_block == vary_block:
         raise ParameterError("grad_block and vary_block must differ")
-    return safety * _max_gradient_ratio(p, x, grad_block, vary_block, probes, seed)
+    return SAFETY * _max_gradient_ratio(p, x, grad_block, vary_block, probes, seed)
 
 
 def _cross_lipschitz(p: Problem, x: BlockVector) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import diagnostics as _diag
-from .blockvec import BlockVector
+from .blockvec import BlockVector, norm_sq
 from .bregman import (
     BregmanGenerator,
     bregman_distance,
@@ -40,6 +40,16 @@ from .problem import Problem, phi_value
 from .prox import inner_exact_min
 
 DIVERGENCE_NORM = 1e12
+
+
+def is_integer(n) -> bool:
+    """True for an int or a numpy integer, but not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def is_real(v) -> bool:
+    """True for an int, a float or a numpy real, but not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,8 @@ class AlphaRule:
     def __post_init__(self):
         if self.kind not in ("constant", "lipschitz_factor"):
             raise ParameterError(f"unknown alpha rule kind {self.kind!r}")
-        if self.value <= 0:
-            raise ParameterError("alpha rule value must be positive")
+        if not is_real(self.value) or self.value <= 0:
+            raise ParameterError(f"alpha rule value must be a positive number, got {self.value!r}")
 
     def resolve(self, lipschitz: float) -> float:
         if self.kind == "constant":
@@ -77,11 +87,6 @@ class BlockStrategy:
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
 
 
-def is_integer(n) -> bool:
-    """True for an int or a numpy integer, but not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iter: int = 1000
@@ -95,7 +100,7 @@ class SolverConfig:
             n = getattr(self, name)
             if not is_integer(n) or n < 1:
                 raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
-        if not all(t >= 0 for t in (self.residual_tol, self.step_tol, self.inner_tol)):
+        if not all(is_real(t) and t >= 0 for t in (self.residual_tol, self.step_tol, self.inner_tol)):
             raise ParameterError("tolerances must be nonnegative numbers")
 
 
@@ -135,7 +140,6 @@ class SweepRecord:
 @dataclass
 class IterateTrace:
     phi0: float
-    block_ids: tuple[str, ...]
     records: list[SweepRecord] = field(default_factory=list)
 
     def phi_series(self) -> list[float]:
@@ -246,12 +250,12 @@ def make_generator(
     the inner solver can handle).
     """
     if strategy.kind == "exact":
-        return make_zero_generator(x.block(i).size), 0.0
+        return make_zero_generator(), 0.0
     if strategy.kind == "custom":
         return strategy.generator_factory(k, x, i), None
     alpha, L_i = _resolve_alpha(strategy, p, x, i)
     if strategy.kind == "augmented":
-        return make_augmented_generator(alpha, x.block(i).size), alpha
+        return make_augmented_generator(alpha), alpha
     h_value, h_grad = _frozen_partial(p, x, i)
     return make_linearization_generator(alpha, h_value, h_grad, L_i), alpha
 
@@ -381,7 +385,7 @@ def run(
     x = x0
     h = float(p.coupling.value(x0))
     fs = [float(term.value(x0.block(i))) for i, term in enumerate(p.terms)]
-    trace = IterateTrace(phi0=phi_value(p, x0), block_ids=p.block_ids)
+    trace = IterateTrace(phi0=phi_value(p, x0))
     cum_step = 0.0
     status = "max-iter"
 
@@ -428,7 +432,7 @@ def run(
         if callback is not None:
             callback(k, x)
 
-        if math.sqrt(sum(float(a @ a) for a in x.arrays)) > DIVERGENCE_NORM:
+        if math.sqrt(norm_sq(x)) > DIVERGENCE_NORM:
             status = "diverged"
             break
         if res_norm <= cfg.residual_tol:

@@ -3,7 +3,8 @@
 A Problem couples a smooth term H over all blocks (value, per-block partial
 gradients, per-block partial Lipschitz constants) with one possibly nonsmooth
 term per block (value plus optional prox, closed-form coupled minimizer, and
-subdifferential-distance certificate).
+subdifferential-distance certificate) and a default start point, whose blocks
+give the problem's block ids and sizes.
 
 Built-in instances:
 
@@ -70,26 +71,30 @@ class Problem:
     name: str
     coupling: CouplingOracle
     terms: tuple[BlockTerm, ...]
-    block_ids: tuple[str, ...]
-    block_dims: tuple[int, ...]
     default_x0: BlockVector
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.terms) != len(self.block_ids):
+        if len(self.terms) != self.default_x0.n_blocks:
             raise ShapeError("one BlockTerm per block is required")
-        if len(self.block_dims) != len(self.block_ids):
-            raise ShapeError("one dimension per block is required")
+
+    @property
+    def block_ids(self) -> tuple[str, ...]:
+        return self.default_x0.ids
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(a.size for a in self.default_x0.arrays)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.block_ids)
+        return self.default_x0.n_blocks
 
     def zeros(self) -> BlockVector:
         return BlockVector([(bid, np.zeros(d)) for bid, d in zip(self.block_ids, self.block_dims)])
 
     def matches(self, x: BlockVector) -> bool:
-        return x.ids == self.block_ids and tuple(a.size for a in x.arrays) == self.block_dims
+        return x.same_structure(self.default_x0)
 
 
 def phi_value(p: Problem, x: BlockVector) -> float:
@@ -233,8 +238,6 @@ def build_sparse_group_instance(
         name="sparse_group",
         coupling=coupling,
         terms=(term_y, term_z),
-        block_ids=("y", "z"),
-        block_dims=(n1, n2),
         default_x0=default_x0,
         metadata={
             "A": A,
@@ -298,8 +301,6 @@ def _coupled_quadratic(C: Array, t: Array) -> Problem:
         name="multiblock_quadratic",
         coupling=coupling,
         terms=tuple(make_term(i) for i in range(t.size)),
-        block_ids=block_ids,
-        block_dims=(1,) * t.size,
         default_x0=BlockVector([(bid, [0.0]) for bid in block_ids]),
         metadata={
             "couplings": C,
@@ -323,7 +324,6 @@ def build_separable_quadratic() -> Problem:
     return replace(
         base,
         name="separable_quadratic",
-        block_ids=("y", "z"),
         default_x0=BlockVector([("y", [0.0]), ("z", [0.0])]),
         metadata={
             "minimizer": np.array([1.0 / 3.0, -1.0 / 3.0]),
@@ -357,27 +357,20 @@ def build_separable_quadratic_badgrad() -> Problem:
 def build_multiblock_quadratic(
     n_blocks: int,
     seed: int = 0,
-    couplings: Optional[Array] = None,
     targets: Optional[Array] = None,
 ) -> Problem:
     """The coupled quadratic of ``_coupled_quadratic`` on n >= 3 scalar blocks.
 
-    The couplings c_ij in [0.1, 1] and the targets t_i in [-1, 1] are drawn
-    from ``seed`` when ``couplings`` or ``targets`` is not given.
+    The couplings c_ij in [0.1, 1] are drawn from ``seed``, and so are the
+    targets t_i in [-1, 1] when ``targets`` is not given.
     """
     if n_blocks < 3:
         raise ParameterError(f"n_blocks must be >= 3, got {n_blocks}")
     rng = np.random.default_rng(seed)
-    if couplings is None:
-        C = np.zeros((n_blocks, n_blocks))
-        iu = np.triu_indices(n_blocks, k=1)
-        C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
-        C = C + C.T
-    else:
-        C = np.asarray(couplings, dtype=float)
-        if C.shape != (n_blocks, n_blocks) or not np.allclose(C, C.T):
-            raise ShapeError("couplings must be a symmetric n x n matrix")
-        C = C * (1.0 - np.eye(n_blocks))
+    C = np.zeros((n_blocks, n_blocks))
+    iu = np.triu_indices(n_blocks, k=1)
+    C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
+    C = C + C.T
     if targets is None:
         t = rng.uniform(-1.0, 1.0, size=n_blocks)
     else:
@@ -385,6 +378,10 @@ def build_multiblock_quadratic(
         if t.size != n_blocks:
             raise ShapeError("targets must have one entry per block")
     return _coupled_quadratic(C, t)
+
+
+# factor on the largest observed gradient ratio in the empirical Lipschitz estimates
+SAFETY = 1.5
 
 
 def _max_gradient_ratio(
@@ -424,16 +421,15 @@ def estimate_partial_lipschitz(
     i: int,
     probes: int = 20,
     seed: int = 0,
-    safety: float = 1.5,
 ) -> float:
     """Empirical bound on the block-i partial gradient Lipschitz constant.
 
     Samples probe pairs in block i around ``x`` with the other blocks fixed,
     takes the largest ratio ||grad_i H(u) - grad_i H(w)|| / ||u - w||, and
-    multiplies by a safety factor. The declared ``partial_lipschitz`` plays no
-    part, so an estimate above ``safety`` times it shows the declared constant
+    multiplies by ``SAFETY``. The declared ``partial_lipschitz`` plays no
+    part, so an estimate above ``SAFETY`` times it shows the declared constant
     is too small.
     """
     if probes < 2:
         raise ParameterError("probes must be >= 2")
-    return safety * _max_gradient_ratio(p, x, i, i, probes, seed)
+    return SAFETY * _max_gradient_ratio(p, x, i, i, probes, seed)

@@ -41,8 +41,6 @@ def make_underdeclared_problem():
         name="underdeclared",
         coupling=coupling,
         terms=(term, term),
-        block_ids=("y", "z"),
-        block_dims=(1, 1),
         default_x0=BlockVector([("y", [0.0]), ("z", [1.0])]),
     )
 

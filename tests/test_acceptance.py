@@ -176,8 +176,10 @@ def test_acceptance_06_residual_bound(sep_quad):
     res = run(sep_quad, resolve_strategy_preset("aam"), cfg, sep_quad.zeros())
     # the run spans 200 sweeps unless the residual hits exactly zero first
     assert res.sweeps == 200 or res.trace.records[-1].residual == 0.0
-    l_hat = math.sqrt(2.0) * (2.0 + alpha)
-    rep = check_residual_bound(res.trace, l_hat=l_hat)
+    # every sweep's generators have Lipschitz constant alpha, so with the cross
+    # constant 2 the bound checked is L_hat = sqrt(2) * (2 + alpha)
+    assert all(rec.lip_blocks == (alpha, alpha) for rec in res.trace.records)
+    rep = check_residual_bound(res.trace, l_cross=2.0)
     assert rep.passed, f"worst violation {rep.worst_violation} at sweep {rep.worst_iteration}"
 
 

@@ -2,8 +2,9 @@
 name; this test fails when a refactor unbinds one of them, or changes a
 signature so that a traced solve no longer runs.
 
-The tracer runs in a subprocess so that a failure half-way through
-``instrument`` cannot leave ``bam`` patched for later tests.
+It traces library ``run`` calls, and ``bam check`` and ``bam compare`` through
+``cli.main``. The tracer runs in a subprocess so that a failure half-way
+through ``instrument`` cannot leave ``bam`` patched for later tests.
 """
 
 import subprocess
@@ -68,6 +69,25 @@ assert tracer.open_spans() == 0, tracer.open_spans()
 counts = tracer.counts(timed_only=True)
 expected = {{"cli.file_write": 2, "cli.write_trace_csv": 1, "bregman.check_convexity": 3,
             "diagnostics.gradcheck": 1, "problem.build": 1}}
+assert {{k: counts.get(k) for k in expected}} == expected, counts
+
+# `bam compare` on the same problem, counted by a fresh tracer: one trace text
+# per preset, one trace file and one report
+tracer = Tracer()
+with tempfile.TemporaryDirectory() as out:
+    config = out + "/config.json"
+    with open(config, "w") as fh:
+        json.dump({{"problem": {{"name": "multiblock_quadratic", "parameters": {{"n_blocks": 3}},
+                               "seed": 1}},
+                   "presets": ["am", "plam"], "solver": {{"residual_tol": 1e-10}}}}, fh)
+    with instrument(tracer):
+        with tracer.root("compare", timed=True):
+            code = cli.main(["compare", config, "--out-dir", out, "--quiet"])
+assert code == 0, code
+assert tracer.open_spans() == 0, tracer.open_spans()
+counts = tracer.counts(timed_only=True)
+expected = {{"cli.file_write": 2, "cli.trace_csv_text": 2, "cli.write_report": 1,
+            "problem.build": 1, "driver.run": 2, "diagnostics.certificate": 2}}
 assert {{k: counts.get(k) for k in expected}} == expected, counts
 """
 

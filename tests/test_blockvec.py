@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from bam.blockvec import BlockVector, combine, norm_sq
+from bam.blockvec import BlockVector, norm_sq
 from bam.errors import EvaluationError, ShapeError
 
 
@@ -25,50 +24,6 @@ def test_norm_sq_invariant_under_block_splitting():
     whole = BlockVector([("a", x)])
     split = BlockVector([("a", x[:5]), ("b", x[5:])])
     assert norm_sq(whole) == pytest.approx(norm_sq(split), rel=1e-15)
-
-
-def test_combine_identity():
-    u = BlockVector([("y", [1.0, 2.0]), ("z", [3.0])])
-    v = BlockVector([("y", [9.0, 9.0]), ("z", [9.0])])
-    w = combine(1.0, u, 0.0, v)
-    assert w == u
-
-
-def test_combine_self_cancellation():
-    u = BlockVector([("a", [1.0, 2.0])])
-    assert norm_sq(combine(1.0, u, -1.0, u)) == 0.0
-
-
-def test_combine_basis():
-    u = BlockVector([("a", [1.0, 0.0])])
-    v = BlockVector([("a", [0.0, 1.0])])
-    w = combine(2.0, u, 3.0, v)
-    np.testing.assert_array_equal(w.block(0), [2.0, 3.0])
-
-
-def test_combine_structure_mismatch():
-    u = BlockVector([("a", [1.0])])
-    v = BlockVector([("b", [1.0])])
-    with pytest.raises(ShapeError):
-        combine(1.0, u, 1.0, v)
-    v2 = BlockVector([("a", [1.0, 2.0])])
-    with pytest.raises(ShapeError):
-        combine(1.0, u, 1.0, v2)
-
-
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-    st.floats(-100, 100),
-    st.floats(-100, 100),
-)
-def test_combine_is_bilinear_entrywise(entries, a, b):
-    rng = np.random.default_rng(len(entries))
-    u_arr = np.array(entries)
-    v_arr = rng.standard_normal(len(entries))
-    u = BlockVector([("x", u_arr)])
-    v = BlockVector([("x", v_arr)])
-    w = combine(a, u, b, v)
-    np.testing.assert_allclose(w.block(0), a * u_arr + b * v_arr, rtol=0, atol=1e-9)
 
 
 def test_rejects_nan_and_inf():

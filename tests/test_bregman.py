@@ -12,9 +12,9 @@ from bam.diagnostics import check_generator_convexity
 from bam.errors import ParameterError, ShapeError
 
 
-def sqnorm_generator(dim):
+def sqnorm_generator():
     # phi(x) = ||x||^2, whose Bregman distance is ||x - y||^2
-    return make_augmented_generator(2.0, dim)
+    return make_augmented_generator(2.0)
 
 
 def quadratic_form_generator(M):
@@ -29,14 +29,14 @@ def quadratic_form_generator(M):
 
 
 def test_sqnorm_distance_is_squared_euclidean():
-    gen = sqnorm_generator(2)
+    gen = sqnorm_generator()
     x, y = np.array([1.0, 2.0]), np.array([0.0, 0.0])
     assert bregman_distance(gen, x, y) == pytest.approx(5.0, abs=1e-14)
     # random pairs too
     rng = np.random.default_rng(0)
     for _ in range(10):
         u, v = rng.standard_normal(4), rng.standard_normal(4)
-        assert bregman_distance(sqnorm_generator(4), u, v) == pytest.approx(
+        assert bregman_distance(sqnorm_generator(), u, v) == pytest.approx(
             float((u - v) @ (u - v)), rel=1e-12
         )
 
@@ -44,7 +44,7 @@ def test_sqnorm_distance_is_squared_euclidean():
 def test_distance_at_equal_points_is_zero():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(3)
-    for gen in (sqnorm_generator(3), make_zero_generator(3), make_augmented_generator(0.7, 3)):
+    for gen in (sqnorm_generator(), make_zero_generator(), make_augmented_generator(0.7)):
         assert bregman_distance(gen, x, x) == 0.0
 
 
@@ -56,32 +56,32 @@ def test_quadratic_form_distance():
 
 def test_dimension_mismatch():
     with pytest.raises(ShapeError):
-        bregman_distance(sqnorm_generator(2), np.array([1.0, 2.0]), np.array([1.0]))
+        bregman_distance(sqnorm_generator(), np.array([1.0, 2.0]), np.array([1.0]))
 
 
 def test_zero_generator():
-    gen = make_zero_generator(1)
+    gen = make_zero_generator()
     assert bregman_distance(gen, np.array([5.0]), np.array([-2.0])) == 0.0
     assert gen.modulus_nu == 0.0
     assert gen.lipschitz_L == 0.0
 
 
 def test_augmented_generator():
-    gen = make_augmented_generator(2.0, 2)
+    gen = make_augmented_generator(2.0)
     assert bregman_distance(gen, np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(1.0)
-    g1 = make_augmented_generator(1.0, 1)
+    g1 = make_augmented_generator(1.0)
     x = np.array([0.3])
     assert bregman_distance(g1, x, x) == 0.0
     # exact modulus for the linear gradient
     rng = np.random.default_rng(2)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
-    g = make_augmented_generator(2.0, 3)
+    g = make_augmented_generator(2.0)
     lhs = float((g.gradient(u) - g.gradient(v)) @ (u - v))
     assert lhs == pytest.approx(2.0 * float((u - v) @ (u - v)), rel=1e-13)
     with pytest.raises(ParameterError):
-        make_augmented_generator(0.0, 2)
+        make_augmented_generator(0.0)
     with pytest.raises(ParameterError):
-        make_augmented_generator(-1.0, 2)
+        make_augmented_generator(-1.0)
 
 
 class TestLinearizationGenerator:
@@ -159,8 +159,8 @@ def fd_gradient(value, x, h=1e-6):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: make_zero_generator(3),
-        lambda: make_augmented_generator(1.7, 3),
+        lambda: make_zero_generator(),
+        lambda: make_augmented_generator(1.7),
         lambda: make_linearization_generator(
             5.0, lambda u: float(u @ u), lambda u: 2.0 * np.asarray(u), 2.0
         ),
@@ -179,8 +179,8 @@ def test_value_gradient_consistency(factory):
 @pytest.mark.parametrize(
     "gen,dim",
     [
-        (make_augmented_generator(1.0, 2), 2),
-        (make_zero_generator(2), 2),
+        (make_augmented_generator(1.0), 2),
+        (make_zero_generator(), 2),
         (
             make_linearization_generator(
                 5.0, lambda u: float(u @ u), lambda u: 2.0 * np.asarray(u), 2.0
@@ -207,13 +207,13 @@ def test_distance_convexity_properties(gen, dim):
 
 
 def test_check_generator_convexity_augmented():
-    rep = check_generator_convexity(make_augmented_generator(1.0, 4), 4, probes=40, seed=0)
+    rep = check_generator_convexity(make_augmented_generator(1.0), 4, probes=40, seed=0)
     assert rep.passed
     assert rep.details["min_ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_check_generator_convexity_zero():
-    rep = check_generator_convexity(make_zero_generator(4), 4, probes=40, seed=0)
+    rep = check_generator_convexity(make_zero_generator(), 4, probes=40, seed=0)
     assert rep.passed
     assert rep.details["min_ratio"] == pytest.approx(0.0, abs=1e-12)
 

@@ -225,6 +225,37 @@ class TestConfigRejection:
                          "inner_max_iter must be an integer", id="inner-max-iter-0"),
             pytest.param(lambda c: c["solver"].update(record_every=5),
                          "unknown field(s) in solver: ['record_every']", id="record-every"),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": True}}),
+                "lambda1 must be a number, got True", id="lambda1-bool",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda2": "0.3"}}),
+                "lambda2 must be a number, got '0.3'", id="lambda2-text",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4}, "seed": True}),
+                "seed must be an integer, got True", id="sparse-group-seed-bool",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "multiblock_quadratic", "parameters": {"n_blocks": 3}, "seed": True}),
+                "seed must be an integer, got True", id="multiblock-seed-bool",
+            ),
+            pytest.param(lambda c: c["solver"].update(residual_tol=True),
+                         "tolerances must be nonnegative numbers", id="residual-tol-bool"),
+            pytest.param(lambda c: c["solver"].update(step_tol=False, inner_tol=True),
+                         "tolerances must be nonnegative numbers", id="step-inner-tol-bool"),
+            pytest.param(
+                with_strategies([
+                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": True}},
+                    {"kind": "exact"},
+                ]),
+                "bad strategies[0].alpha_rule: value must be a number, got True", id="alpha-bool",
+            ),
         ],
     )
     def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):

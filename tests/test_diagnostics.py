@@ -40,7 +40,7 @@ def make_record(k, phi_partials, *, step_blocks=(1.0, 1.0), residual=0.0,
 
 
 def make_trace(phi0, records):
-    return IterateTrace(phi0=phi0, block_ids=("y", "z"), records=list(records))
+    return IterateTrace(phi0=phi0, records=list(records))
 
 
 class TestMonotoneDescent:
@@ -114,7 +114,7 @@ class TestSubgradientResidual:
         y1, z1 = 0.4, -0.24
         x0 = sep_quad.zeros()
         x1 = BlockVector([("y", [y1]), ("z", [z1])])
-        gens = [make_augmented_generator(1.0, 1), make_augmented_generator(1.0, 1)]
+        gens = [make_augmented_generator(1.0), make_augmented_generator(1.0)]
         v, norm = subgradient_residual(sep_quad, x1, mixed_point_corrections(sep_quad, x0, x1, gens))
         # block y: grad_y H moved because z changed after y's solve, plus alpha*(y0 - y1)
         assert v[0][0] == pytest.approx(-2.0 * z1 - y1, abs=1e-12)
@@ -126,7 +126,7 @@ class TestSubgradientResidual:
         cfg = SolverConfig(max_outer_iter=1, residual_tol=0.0, step_tol=0.0)
         res = run(sep_quad, resolve_strategy_preset("am"), cfg, sep_quad.zeros())
         x1 = res.final_x
-        gens = [make_zero_generator(1), make_zero_generator(1)]
+        gens = [make_zero_generator(), make_zero_generator()]
         v, _ = subgradient_residual(
             sep_quad, x1, mixed_point_corrections(sep_quad, sep_quad.zeros(), x1, gens)
         )
@@ -144,7 +144,7 @@ class TestSubgradientResidual:
 
     def test_vanishes_at_fixed_point(self, sep_quad):
         x = BlockVector([("y", [1 / 3]), ("z", [-1 / 3])])
-        gens = [make_augmented_generator(3.0, 1), make_zero_generator(1)]
+        gens = [make_augmented_generator(3.0), make_zero_generator()]
         _, norm = subgradient_residual(sep_quad, x, mixed_point_corrections(sep_quad, x, x, gens))
         assert norm == pytest.approx(0.0, abs=1e-14)
 
@@ -163,28 +163,29 @@ class TestResidualBound:
         assert rep.passed
 
     def test_fails_with_too_small_constant(self):
+        # l_cross 0 and generator Lipschitz constants 0 give L_hat = 0
         trace = make_trace(1.0, [make_record(1, (0.9, 0.8), residual=1.0)])
-        rep = check_residual_bound(trace, l_hat=0.0)
+        rep = check_residual_bound(trace, l_cross=0.0)
         assert rep.status == "fail"
         assert rep.worst_violation == pytest.approx(1.0, abs=1e-9)
-
-    def test_requires_a_constant(self):
-        trace = make_trace(1.0, [make_record(1, (0.9, 0.8))])
-        with pytest.raises(ParameterError):
-            check_residual_bound(trace)
 
 
 class TestResidualVanishes:
     def test_short_trace_inconclusive(self):
         recs = [make_record(k, (0.9, 0.8)) for k in range(1, 11)]
-        assert check_residual_vanishes(make_trace(1.0, recs)).status == "inconclusive"
+        assert check_residual_vanishes(make_trace(1.0, recs), l_hat=1.0).status == "inconclusive"
 
     def test_constant_residual_fails(self):
         recs = [
             make_record(k, (0.9, 0.8), step_blocks=(0.0, 0.0), residual=1.0)
             for k in range(1, 31)
         ]
-        assert check_residual_vanishes(make_trace(1.0, recs)).status == "fail"
+        assert check_residual_vanishes(make_trace(1.0, recs), l_hat=1.0).status == "fail"
+
+    def test_l_hat_is_required(self):
+        trace = make_trace(1.0, [make_record(k, (0.9, 0.8)) for k in range(1, 31)])
+        with pytest.raises(TypeError):
+            check_residual_vanishes(trace)
 
     def test_decaying_residual_passes(self):
         recs = [

@@ -40,8 +40,6 @@ def make_unbounded_problem(prox):
         name="unbounded",
         coupling=coupling,
         terms=(term, term),
-        block_ids=("a", "b"),
-        block_dims=(1, 1),
         default_x0=BlockVector([("a", [1.0]), ("b", [1.0])]),
     )
 
@@ -54,8 +52,6 @@ def make_bad_prox_problem():
         name="badprox",
         coupling=p.coupling,
         terms=(term, term),
-        block_ids=p.block_ids,
-        block_dims=p.block_dims,
         default_x0=p.default_x0,
     )
 
@@ -201,6 +197,15 @@ class TestValidation:
             SolverConfig(residual_tol=-1.0)
         with pytest.raises(ParameterError):
             SolverConfig(step_tol=float("nan"))
+        for name in ("residual_tol", "step_tol", "inner_tol"):
+            for bad in (True, False, "0.1", None):
+                with pytest.raises(ParameterError):
+                    SolverConfig(**{name: bad})
+        with pytest.raises(ParameterError):
+            AlphaRule("constant", True)
+        with pytest.raises(ParameterError):
+            AlphaRule("lipschitz_factor", "1.1")
+        assert AlphaRule("constant", np.float64(0.5)).value == 0.5
 
     @pytest.mark.parametrize("name", ["max_outer_iter", "inner_max_iter"])
     @pytest.mark.parametrize("bad", [0, -3, 1.5, 2.0, "5", True, None])
@@ -213,6 +218,18 @@ class TestValidation:
         cfg = SolverConfig(max_outer_iter=1)
         with pytest.raises(ConfigurationError):
             run(sep_quad, resolve_strategy_preset("am"), cfg, multiblock.zeros())
+
+    def test_block_layout_comes_from_the_start_point(self, sep_quad):
+        p = replace(sep_quad, default_x0=BlockVector([("a", [0.0]), ("b", [0.0])]))
+        assert p.block_ids == ("a", "b") and p.block_dims == (1, 1)
+        cfg = SolverConfig(max_outer_iter=300, residual_tol=1e-10)
+        assert run(p, resolve_strategy_preset("am"), cfg, p.default_x0).status == "residual-converged"
+
+    def test_x0_block_size_mismatch(self, sep_quad):
+        # the same block ids as the problem, but y has length 2
+        x0 = BlockVector([("y", [0.0, 0.0]), ("z", [0.0])])
+        with pytest.raises(ConfigurationError):
+            run(sep_quad, resolve_strategy_preset("am"), SolverConfig(max_outer_iter=1), x0)
 
 
 @pytest.mark.parametrize("preset", ["am", "plam", "aam", "am-plam", "plam-am"])
@@ -286,7 +303,7 @@ def test_callback_sees_every_sweep(sep_quad):
 
 
 def test_custom_strategy_matches_augmented_preset(sep_quad):
-    factory = lambda k, x, i: make_augmented_generator(1.0, x.block(i).size)
+    factory = lambda k, x, i: make_augmented_generator(1.0)
     custom = [
         BlockStrategy("custom", generator_factory=factory),
         BlockStrategy("custom", generator_factory=factory),

@@ -184,8 +184,6 @@ def _decoupled_problem():
         name="decoupled",
         coupling=coupling,
         terms=(term, term),
-        block_ids=("a", "b"),
-        block_dims=(2, 2),
         default_x0=BlockVector([("a", np.zeros(2)), ("b", np.zeros(2))]),
     )
 
@@ -263,12 +261,11 @@ def test_phi_value_shape_mismatch(sep_quad):
 
 
 def test_problem_structure_validation(sep_quad):
+    # two block terms against a one-block start point
     with pytest.raises(ShapeError):
         Problem(
             name="bad",
             coupling=sep_quad.coupling,
             terms=sep_quad.terms,
-            block_ids=("y",),
-            block_dims=(1, 1),
-            default_x0=sep_quad.zeros(),
+            default_x0=BlockVector([("y", [0.0])]),
         )

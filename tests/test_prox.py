@@ -282,5 +282,5 @@ class TestInnerExactMin:
 
 def test_zero_generator_smoke():
     # tiny guard that the zero generator used by exact steps really is inert
-    gen = make_zero_generator(3)
+    gen = make_zero_generator()
     np.testing.assert_array_equal(gen.gradient(np.ones(3)), np.zeros(3))
