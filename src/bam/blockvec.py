@@ -1,7 +1,9 @@
 """Dense real vectors partitioned into named, ordered blocks.
 
 BlockVector is the iterate type used by the drivers: immutable, all-finite,
-with a fixed block layout. Updates build new vectors via ``with_block``.
+with a fixed block layout. Updates build new vectors via ``with_block``, which
+shares the untouched (read-only) block arrays, so oracles may key cached
+products on the identity of a block array.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class BlockVector:
         Non-finite entries are rejected.
     """
 
-    __slots__ = ("_ids", "_arrays", "_dim")
+    __slots__ = ("_ids", "_arrays", "_dim", "_flat")
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]]):
         ids: list[str] = []
@@ -32,7 +34,7 @@ class BlockVector:
             a = np.array(arr, dtype=float, copy=True).ravel()
             if a.size == 0:
                 raise ShapeError(f"block {bid!r} is empty")
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise EvaluationError(f"block {bid!r} contains non-finite entries")
             a.setflags(write=False)
             ids.append(str(bid))
@@ -44,6 +46,7 @@ class BlockVector:
         self._ids = tuple(ids)
         self._arrays = tuple(arrays)
         self._dim = int(sum(a.size for a in arrays))
+        self._flat = None
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -76,7 +79,7 @@ class BlockVector:
                 f"block {self._ids[i]!r} has length {self._arrays[i].size}, "
                 f"got {a.size}"
             )
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise EvaluationError(f"block {self._ids[i]!r} contains non-finite entries")
         a.setflags(write=False)
         arrays = list(self._arrays)
@@ -85,10 +88,21 @@ class BlockVector:
         out._ids = self._ids
         out._arrays = tuple(arrays)
         out._dim = self._dim
+        out._flat = None
         return out
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(self._arrays)
+        """The blocks concatenated in order, as one read-only array.
+
+        It is built on the first call and the same array is returned after
+        that; copy it before writing into it.
+        """
+        flat = self._flat
+        if flat is None:
+            flat = np.concatenate(self._arrays)
+            flat.setflags(write=False)
+            self._flat = flat
+        return flat
 
     def same_structure(self, other: "BlockVector") -> bool:
         return self._ids == other._ids and all(

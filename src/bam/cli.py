@@ -107,9 +107,12 @@ COMMAND_KEYS = {
 
 
 def load_config(path: str, command: str) -> dict:
+    def reject_non_finite(literal: str):
+        raise ConfigurationError(f"config {path!r}: {literal} is not allowed; numbers must be finite")
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=reject_non_finite)
     except OSError as e:
         raise ConfigurationError(f"cannot read config {path!r}: {e}") from e
     except json.JSONDecodeError as e:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -164,6 +164,7 @@ def subgradient_residual(
     p: Problem,
     x_next: BlockVector,
     corrections: Sequence[np.ndarray],
+    last_grad: Optional[np.ndarray] = None,
 ) -> tuple[list[np.ndarray], float]:
     """Explicit subgradient element of the sweep's optimality conditions, as (blocks, norm).
 
@@ -174,15 +175,19 @@ def subgradient_residual(
     is ``driver.BlockStep.correction`` and mixed_i, blocks <= i new and > i
     old, is the point block i's subproblem was solved at. Valid as a
     subgradient only when the subproblems were solved to tolerance.
+
+    ``last_grad``, when given, is grad_n H(x^{k+1}) for the last block, which
+    the last block's step may already have evaluated (``driver.BlockStep.grad``);
+    it is then used instead of a second evaluation.
     """
-    if len(corrections) != p.n_blocks:
+    n = p.n_blocks
+    if len(corrections) != n:
         raise ConfigurationError("one correction per block is required")
     if not p.matches(x_next):
         raise ConfigurationError("iterate does not match the problem structure")
-    v = [
-        np.asarray(p.coupling.partial_grad(x_next, i), dtype=float).ravel() + c
-        for i, c in enumerate(corrections)
-    ]
+    grads = [p.coupling.partial_grad(x_next, i) for i in range(n - 1)]
+    grads.append(p.coupling.partial_grad(x_next, n - 1) if last_grad is None else last_grad)
+    v = [np.asarray(g, dtype=float).ravel() + c for g, c in zip(grads, corrections)]
     return v, math.sqrt(sum(float(a @ a) for a in v))
 
 

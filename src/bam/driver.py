@@ -15,7 +15,8 @@ with the generator phi_i^k chosen by the block's strategy:
 Iteration-dependent generators are rebuilt each step, freezing the newest
 values of the other blocks. ``step_block`` evaluates one update once into a
 ``BlockStep``; ``run`` carries H and the f_i between updates and passes the
-corrections c_i to ``diagnostics.subgradient_residual(p, x_next, corrections)``.
+corrections c_i, and the last block's grad_n H(x^{k+1}) when its step has it,
+to ``diagnostics.subgradient_residual``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ def is_integer(n) -> bool:
 
 
 def is_real(v) -> bool:
-    """True for an int, a float or a numpy real, but not a bool."""
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    """True for an int or a finite float or numpy real, but not a bool."""
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        return False
+    return is_integer(v) or math.isfinite(v)  # a Python int may be too large for a float
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,9 @@ class BlockStep(NamedTuple):
     rejected), ``h`` = H(x), ``f`` = f_i(x_i), ``bregman`` = B_phi(x_i^{k+1}, x_i^k),
     ``step_sq`` = ||x_i^{k+1} - x_i^k||^2, and ``correction`` is
     c_i = grad phi(x_i^k) - grad phi(x_i^{k+1}) - grad_i H(x), the term that
-    ``diagnostics.subgradient_residual`` adds to grad_i H(x^{k+1}).
+    ``diagnostics.subgradient_residual`` adds to grad_i H(x^{k+1}). ``grad`` is
+    grad_i H(x) when the step evaluated it there (every kind but Linearized,
+    whose gradient is taken before the update), else None.
     """
 
     x: BlockVector
@@ -310,6 +315,7 @@ class BlockStep(NamedTuple):
     bregman: float
     step_sq: float
     correction: np.ndarray
+    grad: Optional[np.ndarray]
 
 
 def step_block(
@@ -354,15 +360,17 @@ def step_block(
     elif not (math.isfinite(h_new) and math.isfinite(f_new)):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
 
-    if weight is None:
-        c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new))
-        c -= _vec(p.coupling.partial_grad(x_new, i))
-    else:
-        # for Linearized, grad phi's -grad_i H terms leave only the anchor gradient g
-        if strategy.kind != "linearized":
-            g = _vec(p.coupling.partial_grad(x_new, i))
+    if strategy.kind == "linearized":
+        # grad phi's -grad_i H terms leave only the anchor gradient g
+        g_new = None
         c = -weight * d - g
-    return BlockStep(x_new, gen, flag, h_new, f_new, bregman, float(d @ d), c)
+    else:
+        g_new = _vec(p.coupling.partial_grad(x_new, i))
+        if weight is None:
+            c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new)) - g_new
+        else:
+            c = -weight * d - g_new
+    return BlockStep(x_new, gen, flag, h_new, f_new, bregman, float(d @ d), c, g_new)
 
 
 def run(
@@ -404,7 +412,9 @@ def run(
                 for f in fs:
                     phi += f
                 partials.append(phi)
-            _, res_norm = _diag.subgradient_residual(p, x, [s.correction for s in steps])
+            _, res_norm = _diag.subgradient_residual(
+                p, x, [s.correction for s in steps], last_grad=steps[-1].grad
+            )
         except EvaluationError:
             res_norm = math.nan
         if not math.isfinite(res_norm):

@@ -41,6 +41,12 @@ class CouplingOracle:
 
     ``partial_lipschitz(x, i)`` returns a Lipschitz bound for the map
     u -> grad_i H(..., u, ...) with the other blocks frozen at x.
+
+    Oracle results may be shared read-only arrays: callers must not write
+    into them (copy first). ``build_sparse_group_instance`` keeps its last
+    A @ y, residual Ay - z and 2 A^T r, each keyed on the identity of the
+    arrays it was computed from, and reuses each while its key matches; its
+    grad_y H is the kept 2 A^T r itself.
     """
 
     value: Callable[[BlockVector], float]
@@ -180,8 +186,8 @@ def build_sparse_group_instance(
     """
     if n1 < 1 or n2 < 1:
         raise ParameterError("n1 and n2 must be >= 1")
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ParameterError("lambda1 and lambda2 must be positive")
+    if not all(math.isfinite(lam) and lam > 0 for lam in (lambda1, lambda2)):
+        raise ParameterError("lambda1 and lambda2 must be positive and finite")
     gid = validate_groups(groups, n2)
 
     if a_matrix is not None:
@@ -196,16 +202,48 @@ def build_sparse_group_instance(
     L1 = 2.0 * lam_max
     L2 = 2.0
 
+    # The last A @ y, residual Ay - z and 2 A^T r, each with the arrays it was
+    # computed from. Block arrays are read-only and with_block shares the
+    # untouched ones, so an `is` test on the key is a sound cache check. Each
+    # slot is one tuple replaced in one assignment, so threads sharing the
+    # problem never pair a key with another key's product. A y and r never
+    # leave these closures; the gradient that does is made read-only.
+    ay_slot = (None, None)
+    r_slot = (None, None, None)
+    atr_slot = (None, None)
+
+    def a_times(y: Array) -> Array:
+        nonlocal ay_slot
+        key, ay = ay_slot
+        if key is not y:
+            ay = A @ y
+            ay_slot = (y, ay)
+        return ay
+
     def residual(x: BlockVector) -> Array:
-        return A @ x.block(0) - x.block(1)
+        nonlocal r_slot
+        y, z = x.arrays
+        key_y, key_z, r = r_slot
+        if key_y is not y or key_z is not z:
+            r = a_times(y) - z
+            r_slot = (y, z, r)
+        return r
 
     def h_value(x: BlockVector) -> float:
         r = residual(x)
         return float(r @ r)
 
     def h_grad(x: BlockVector, i: int) -> Array:
+        nonlocal atr_slot
         r = residual(x)
-        return 2.0 * (A.T @ r) if i == 0 else -2.0 * r
+        if i == 1:
+            return -2.0 * r
+        key, g = atr_slot
+        if key is not r:
+            g = 2.0 * (A.T @ r)
+            g.setflags(write=False)
+            atr_slot = (r, g)
+        return g
 
     coupling = CouplingOracle(
         value=h_value,
@@ -214,7 +252,7 @@ def build_sparse_group_instance(
     )
 
     def z_exact(x: BlockVector, i: int, alpha: float) -> Array:
-        w = (2.0 * (A @ x.block(0)) + alpha * x.block(1)) / (2.0 + alpha)
+        w = (2.0 * a_times(x.block(0)) + alpha * x.block(1)) / (2.0 + alpha)
         return group_shrink(w, gid, lambda2 / (2.0 + alpha))
 
     term_y = BlockTerm(

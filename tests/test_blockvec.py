@@ -68,3 +68,15 @@ def test_total_dim_and_flat():
     v = BlockVector([("y", [1.0, 2.0]), ("z", [3.0, 4.0, 5.0])])
     assert v.total_dim == 5
     np.testing.assert_array_equal(v.to_flat(), [1, 2, 3, 4, 5])
+
+
+def test_to_flat_is_built_once_and_read_only():
+    v = BlockVector([("y", [1.0, 2.0]), ("z", [3.0])])
+    flat = v.to_flat()
+    assert v.to_flat() is flat and not flat.flags.writeable
+    np.testing.assert_array_equal(flat, np.concatenate(v.arrays))
+    with pytest.raises(ValueError):
+        flat[0] = 7.0
+    w = v.with_block(1, [9.0])
+    np.testing.assert_array_equal(w.to_flat(), [1.0, 2.0, 9.0])
+    np.testing.assert_array_equal(v.to_flat(), [1.0, 2.0, 3.0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,26 @@ class TestConfigRejection:
                     {"kind": "exact"},
                 ]),
                 "bad strategies[0].alpha_rule: value must be a number, got True", id="alpha-bool",
+            ),
+            pytest.param(
+                with_strategies([
+                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": math.nan}},
+                    {"kind": "exact"},
+                ]),
+                "NaN is not allowed", id="alpha-nan",
+            ),
+            pytest.param(
+                with_strategies([
+                    {"kind": "linearized",
+                     "alpha_rule": {"kind": "lipschitz_factor", "value": math.inf}},
+                    {"kind": "exact"},
+                ]),
+                "Infinity is not allowed", id="alpha-infinity",
+            ),
+            pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": -math.inf}}),
+                "-Infinity is not allowed", id="lambda1-minus-infinity",
             ),
         ],
     )

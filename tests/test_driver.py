@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -189,6 +190,13 @@ class TestValidation:
             AlphaRule("constant", 0.0)
         with pytest.raises(ParameterError):
             AlphaRule("ratio", 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_alpha_rule_rejects_non_finite_values(self, value):
+        with pytest.raises(ParameterError):
+            AlphaRule("constant", value)
+        with pytest.raises(ParameterError):
+            AlphaRule("lipschitz_factor", np.float64(value))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -408,6 +416,12 @@ class TestOnePassCost:
         for c in sweeps:
             assert c["h_value"] <= 2 and c["partial_grad"] <= 4, c
 
+    def test_am_reuses_the_last_blocks_gradient(self, sparse_group, monkeypatch):
+        """The exact z step's grad_z H(x^{k+1}) is the residual's last gradient:
+        one partial gradient per block in the steps, one for y in the residual."""
+        sweeps = self.steady_sweeps(sparse_group, "am", monkeypatch)
+        assert [c["partial_grad"] for c in sweeps] == [3, 3, 3]
+
 
 def log_cosh_generator(a, dim):
     """A non-quadratic generator: phi(u) = (a/2)||u||^2 + sum_j log cosh u_j."""
@@ -452,7 +466,7 @@ def test_block_step_shortcuts_equal_definitions(request, problem, kind):
             assert s.step_sq == pytest.approx(float((x.block(i) - anchor) @ (x.block(i) - anchor)))
             gens.append(s.gen)
             corrections.append(s.correction)
-        engine, _ = subgradient_residual(p, x, corrections)
+        engine, _ = subgradient_residual(p, x, corrections, last_grad=s.grad)
         reference, _ = subgradient_residual(p, x, mixed_point_corrections(p, x_prev, x, gens))
         np.testing.assert_allclose(
             np.concatenate(engine), np.concatenate(reference), rtol=0.0, atol=tol

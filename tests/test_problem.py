@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from bam.problem import (
     estimate_partial_lipschitz,
     phi_value,
 )
+from bam.prox import group_shrink, validate_groups
 
 from conftest import GROUPS_8x5, make_underdeclared_problem
 
@@ -114,6 +119,86 @@ class TestSparseGroup:
             build_sparse_group_instance(5, 4, [[0, 1], [2, 3]], lambda2=-1.0)
         with pytest.raises(ParameterError):
             build_sparse_group_instance(0, 4, [[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, lam):
+        with pytest.raises(ParameterError, match="finite"):
+            build_sparse_group_instance(5, 4, [[0, 1], [2, 3]], lambda1=lam)
+        with pytest.raises(ParameterError, match="finite"):
+            build_sparse_group_instance(5, 4, [[0, 1], [2, 3]], lambda2=lam)
+
+    def test_cached_products_follow_every_block_change(self):
+        """H, both partial gradients and the exact z step match a direct numpy
+        evaluation after y, then z, then both blocks change."""
+        p = build_sparse_group_instance(50, 40, GROUPS_8x5, seed=7)
+        A, gid = p.metadata["A"], validate_groups(GROUPS_8x5, 40)
+        rng = np.random.default_rng(5)
+        x = p.default_x0
+        points = [x]
+        for blocks in ([0], [1], [0, 1]):
+            for i in blocks:
+                x = x.with_block(i, rng.standard_normal(p.block_dims[i]))
+            points.append(x)
+        for x in points:
+            y, z = x.arrays
+            r = A @ y - z
+            assert p.coupling.value(x) == float(r @ r)
+            np.testing.assert_array_equal(p.coupling.partial_grad(x, 0), 2.0 * (A.T @ r))
+            np.testing.assert_array_equal(p.coupling.partial_grad(x, 1), -2.0 * r)
+            for alpha in (0.0, 1.0):
+                w = (2.0 * (A @ y) + alpha * z) / (2.0 + alpha)
+                np.testing.assert_array_equal(
+                    p.terms[1].exact_coupled_min(x, 1, alpha), group_shrink(w, gid, 0.1 / (2.0 + alpha))
+                )
+
+    def test_cached_products_hold_under_threads(self):
+        """Threads sharing one instance, switching every microsecond for one
+        second, each get the products of their own iterate."""
+        p = build_sparse_group_instance(50, 40, GROUPS_8x5, seed=7)
+        A = p.metadata["A"]
+        rng = np.random.default_rng(9)
+        x0 = p.default_x0
+        x_y = x0.with_block(0, rng.standard_normal(50))
+        points = [x0, x_y, x0.with_block(1, rng.standard_normal(40)),
+                  x_y.with_block(1, rng.standard_normal(40))]  # pairs share y or z arrays
+        expected = []
+        for x in points:
+            r = A @ x.block(0) - x.block(1)
+            expected.append((float(r @ r), 2.0 * (A.T @ r)))
+        mismatches = []
+        start = threading.Barrier(6)
+
+        def worker(offset):
+            start.wait(timeout=60)
+            end, k = time.perf_counter() + 1.0, offset
+            while time.perf_counter() < end:
+                k += 1
+                j = k % len(points)
+                h, g = expected[j]
+                if (p.coupling.value(points[j]) != h
+                        or not np.array_equal(p.coupling.partial_grad(points[j], 0), g)):
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_gradient_is_a_shared_read_only_array(self, sparse_group):
+        x = sparse_group.default_x0.with_block(0, np.ones(50))
+        g = sparse_group.coupling.partial_grad(x, 0)
+        assert sparse_group.coupling.partial_grad(x, 0) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 1.0
 
     def test_matrix_roundtrip(self, tmp_path, sparse_group):
         path = tmp_path / "A.csv"
