@@ -10,7 +10,15 @@ with the generator phi_i^k chosen by the block's strategy:
 * Exact       -> zero generator (plain block minimization),
 * Linearized  -> linearization generator, closed-form prox-gradient update,
 * Augmented   -> quadratic generator (alpha/2)||u - x_i^k||^2,
-* Custom      -> user-supplied generator factory, inner prox-gradient solve.
+* Custom      -> user-supplied generator factory.
+
+Exact and Augmented steps use the block's closed-form coupled minimizer when
+it has one; otherwise they, and every Custom step, go to
+``prox.inner_exact_min`` (FISTA with gradient restart, started at x_i^k,
+stopped on the prox-gradient residual at its extrapolated point, never
+returning a point worse than x_i^k). A ``hit-cap`` or ``ascent-rejected``
+inner solve makes its sweep's residual uncertified, and ``run`` does not stop
+``residual-converged`` on it.
 
 Iteration-dependent generators are rebuilt each step, freezing the newest
 values of the other blocks. ``step_block`` evaluates one update once into a
@@ -269,7 +277,8 @@ def _solve_with_generator(
     """Solve block i's subproblem with the given generator.
 
     ``weight`` is the generator's quadratic weight from ``make_generator``;
-    with a weight, closed-form coupled minimizers can be used, and None means
+    with a weight, closed-form coupled minimizers can be used and the inner
+    solver's gradient is grad_i H(u) + weight*(u - anchor), while None means
     a general generator that must go through the inner solver.
     """
     term = p.terms[i]
@@ -282,13 +291,21 @@ def _solve_with_generator(
         )
 
     h_value, h_grad = _frozen_partial(p, x, i)
-    g_anchor = _vec(gen.gradient(anchor))
 
     def smooth_value(u):
         return float(h_value(u)) + bregman_distance(gen, u, anchor)
 
-    def smooth_grad(u):
-        return _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor
+    # grad_i H(u) + grad phi(u) - grad phi(anchor), one call per inner iteration
+    if weight is None:
+        g_anchor = _vec(gen.gradient(anchor))
+
+        def smooth_grad(u):
+            return _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor
+    elif weight == 0.0:  # Exact: the zero generator adds nothing
+        smooth_grad = h_grad
+    else:  # Augmented: phi = (weight/2)||u||^2, no generator calls needed
+        def smooth_grad(u):
+            return h_grad(u) + weight * (u - anchor)
 
     L_sub = float(p.coupling.partial_lipschitz(x, i)) + gen.lipschitz_L
     return inner_exact_min(smooth_value, smooth_grad, L_sub, term.value, term.prox, anchor,
@@ -383,8 +400,9 @@ def run(
     """Run Gauss-Seidel sweeps until a stopping rule fires.
 
     The trace records every completed sweep. Stopping order per sweep:
-    divergence guard, residual_tol on the subgradient residual norm, step_tol
-    on the full-sweep step norm, max_outer_iter.
+    divergence guard, residual_tol on the subgradient residual norm (only on
+    a sweep whose every block flag is "ok" or "converged"), step_tol on the
+    full-sweep step norm, max_outer_iter.
     """
     if not p.matches(x0):
         raise ConfigurationError(f"x0 structure does not match problem {p.name!r}")
@@ -445,7 +463,9 @@ def run(
         if math.sqrt(norm_sq(x)) > DIVERGENCE_NORM:
             status = "diverged"
             break
-        if res_norm <= cfg.residual_tol:
+        # a capped or rejected inner solve leaves a residual that is not a
+        # subgradient of Phi, so it cannot end the run
+        if res_norm <= cfg.residual_tol and trace.records[-1].inner_flag == "ok":
             status = "residual-converged"
             break
         if step_norm <= cfg.step_tol:

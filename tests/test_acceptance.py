@@ -149,6 +149,17 @@ def test_acceptance_04_exact_convergence(suite):
     np.testing.assert_allclose(res.final_x.to_flat(), multi.metadata["minimizer"], atol=1e-8)
 
 
+def test_exact_sparse_group_steps_rarely_hit_the_inner_cap(suite):
+    """The y block of sparse_group has no closed form, so am, aam and am-plam
+    solve it with the inner solver: 75 solves, at most 3 of them capped."""
+    capped = 0
+    for preset in ("am", "aam", "am-plam"):
+        res = suite["results"][("sparse_group", preset)]
+        assert (res.status, res.sweeps) == ("max-iter", SPARSE_EXACT_CFG.max_outer_iter), preset
+        capped += sum(r.inner_flags[0] == "hit-cap" for r in res.trace.records)
+    assert capped <= 3
+
+
 @criterion(5, "prox maps agree with grid brute force on 100 seeded cases each")
 def test_acceptance_05_prox_oracles():
     rng = np.random.default_rng(2024)

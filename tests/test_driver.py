@@ -296,6 +296,29 @@ def test_every_sweep_is_recorded(multiblock):
     assert res.status == "max-iter"
 
 
+class TestHonestStop:
+    """A sweep with a capped or rejected inner solve never ends the run as
+    residual-converged: its residual is not a subgradient of Phi."""
+
+    def test_capped_sweep_does_not_stop_on_the_residual(self, sparse_group):
+        # one inner iteration per y step: every y solve hits its cap, and from
+        # the second sweep on the residual is below residual_tol
+        cfg = SolverConfig(max_outer_iter=6, residual_tol=10.0, step_tol=0.0, inner_max_iter=1)
+        res = run(sparse_group, resolve_strategy_preset("am"), cfg, sparse_group.default_x0)
+        assert [r.inner_flag for r in res.trace.records] == ["hit-cap"] * 6
+        assert res.trace.records[1].residual <= cfg.residual_tol
+        assert (res.status, res.sweeps) == ("max-iter", 6)
+
+    def test_rejected_sweep_falls_through_to_the_step_rule(self):
+        # both blocks fall back to their anchors: residual 0, step 0
+        p = make_underdeclared_problem()
+        cfg = SolverConfig(max_outer_iter=3, residual_tol=1e3, inner_max_iter=5)
+        res = run(p, [BlockStrategy("exact")] * 2, cfg, p.default_x0)
+        rec = res.trace.records[-1]
+        assert (rec.residual, rec.inner_flag) == (0.0, "ascent-rejected")
+        assert (res.status, res.sweeps) == ("step-converged", 1)
+
+
 def test_callback_sees_every_sweep(sep_quad):
     seen = []
     cfg = SolverConfig(max_outer_iter=10, residual_tol=0.0, step_tol=0.0)
