@@ -2,10 +2,11 @@
 
 Subcommands:
   run      <config.json>   solve one configuration, run requested checks
-  compare  <config.json>   run >= 2 presets from the same start point
+  compare  <config.json>   run >= 2 distinct presets from the same start point
   check    <config.json>   ``run`` plus the pre-run checks of the inputs
-                           (gradcheck at x0, generator convexity per block);
-                           the requested checks default to all of CHECK_NAMES
+                           (gradcheck at x0, generator convexity per block,
+                           declared against estimated L_i per block); the
+                           requested checks default to all of CHECK_NAMES
 
 Check names and checks come from ``diagnostics.CHECK_NAMES`` and
 ``diagnostics.CHECKS``. ``check`` has no ``prox_brute_force`` entry: the prox
@@ -227,7 +228,10 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
                         f"bad strategies[{i}].alpha_rule: value must be a number, got {value!r}"
                     )
                 rule = AlphaRule(r.get("kind"), float(value))
-            out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
+            try:
+                out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
+            except BamError as e:
+                raise ConfigurationError(f"bad strategies[{i}]: {e}") from e
         return out, "custom"
     raise ConfigurationError("config needs 'preset' or 'strategies'")
 
@@ -322,8 +326,9 @@ def cmd_run(cfg: dict, args) -> int:
         reports.append(diag.gradcheck(p, x0))
         for i, strategy in enumerate(strategies):
             gen, _ = make_generator(strategy, p, x0, i, 0)
-            rep = check_generator_convexity(gen, p.block_dims[i], probes=30, seed=0, radius=2.0)
+            rep = check_generator_convexity(gen, p.block_dims[i])
             reports.append(replace(rep, name=f"generator_convexity[{p.block_ids[i]}]"))
+        reports += [diag.check_declared_lipschitz(p, x0, i) for i in range(p.n_blocks)]
         names = [n for n in names or CHECK_NAMES if n != "gradcheck"]
     result = run(p, strategies, solver_cfg, x0)
     reports += run_checks(names, p, result, x0)
@@ -351,6 +356,8 @@ def cmd_compare(cfg: dict, args) -> int:
     presets = cfg.get("presets")
     if not isinstance(presets, list) or len(presets) < 2:
         raise ConfigurationError("compare needs a 'presets' list with at least 2 entries")
+    if any(presets.count(name) > 1 for name in presets):
+        raise ConfigurationError(f"compare presets must be distinct, got {presets!r}")
     p = build_problem(cfg.get("problem"), args.seed)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])

@@ -25,7 +25,16 @@ import numpy as np
 from .blockvec import BlockVector
 from .bregman import BregmanGenerator
 from .errors import ConfigurationError, EvaluationError, ParameterError
-from .problem import SAFETY, Problem, _max_gradient_ratio
+from .problem import SAFETY, Problem, _max_gradient_ratio, estimate_partial_lipschitz
+
+CERTIFICATE_TOL = 1e-6  # largest per-block subdifferential distance that passes
+GRADCHECK_REL_STEP = 1e-5  # central-difference step, relative to 1 + |x_j|
+GRADCHECK_PROBES = 10  # probe points around x, drawn from seed 0
+GRADCHECK_TOL = 1e-6  # largest relative gradient error that passes
+CONVEXITY_PROBES = 30  # generator probe pairs, uniform in a box around the origin,
+CONVEXITY_SEED = 0  # drawn from this seed,
+CONVEXITY_RADIUS = 2.0  # with this half-width
+LIPSCHITZ_RTOL = 1e-9  # an exactly declared L_i can read a few ulps above itself
 
 
 @dataclass
@@ -252,9 +261,10 @@ def check_residual_vanishes(trace, l_hat: float) -> CheckReport:
     )
 
 
-def critical_point_certificate(p: Problem, x: BlockVector, tol: float = 1e-6) -> CheckReport:
+def critical_point_certificate(p: Problem, x: BlockVector) -> CheckReport:
     """Blockwise first-order criticality: -grad_i H(x) lies in the
-    subdifferential of f_i at x_i, within ``tol`` per block; a NaN distance fails."""
+    subdifferential of f_i at x_i, within ``CERTIFICATE_TOL`` per block; a NaN
+    distance fails."""
     distances = {}
     missing = []
     worst = 0.0
@@ -268,7 +278,7 @@ def critical_point_certificate(p: Problem, x: BlockVector, tol: float = 1e-6) ->
         d = float(term.subdiff_certificate(x.block(i), g))
         distances[bid] = d
         worst = max(worst, d if math.isfinite(d) else math.inf)
-    if distances and worst > tol:
+    if distances and worst > CERTIFICATE_TOL:
         status = "fail"
     elif missing:
         status = "inconclusive"
@@ -277,31 +287,23 @@ def critical_point_certificate(p: Problem, x: BlockVector, tol: float = 1e-6) ->
     return CheckReport(
         "critical_point",
         status,
-        worst_violation=worst - tol if status == "fail" else worst,
-        details={"distances": distances, "missing_certificates": missing, "tol": tol},
+        worst_violation=worst - CERTIFICATE_TOL if status == "fail" else worst,
+        details={"distances": distances, "missing_certificates": missing, "tol": CERTIFICATE_TOL},
         note="no certificate oracle for: " + ", ".join(missing) if missing else "",
     )
 
 
-def gradcheck(
-    p: Problem,
-    x: BlockVector,
-    rel_step: float = 1e-5,
-    probes: int = 10,
-    tol: float = 1e-6,
-) -> CheckReport:
+def gradcheck(p: Problem, x: BlockVector) -> CheckReport:
     """Central-difference validation of every partial gradient of H.
 
-    Probes points around ``x`` drawn from seed 0; relative error per
+    Probes ``GRADCHECK_PROBES`` points around ``x``; relative error per
     coordinate is |fd - g| / (1 + |g|).
     """
-    if rel_step <= 0:
-        raise ParameterError("rel_step must be positive")
     rng = np.random.default_rng(0)
     dims = p.block_dims
     worst = 0.0
     worst_loc = None
-    for pr in range(probes):
+    for pr in range(GRADCHECK_PROBES):
         xp = x
         for i, dim in enumerate(dims):
             xp = xp.with_block(i, x.block(i) + rng.standard_normal(dim))
@@ -309,7 +311,7 @@ def gradcheck(
             g = np.asarray(p.coupling.partial_grad(xp, i), dtype=float).ravel()
             base = xp.block(i)
             for j in range(base.size):
-                h = rel_step * (1.0 + abs(base[j]))
+                h = GRADCHECK_REL_STEP * (1.0 + abs(base[j]))
                 up = base.copy()
                 dn = base.copy()
                 up[j] += h
@@ -322,12 +324,11 @@ def gradcheck(
                 if err > worst:
                     worst = err
                     worst_loc = (pr, p.block_ids[i], j)
-    status = "pass" if worst <= tol else "fail"
     return CheckReport(
         "gradcheck",
-        status,
+        "pass" if worst <= GRADCHECK_TOL else "fail",
         worst_violation=worst,
-        details={"worst_location": worst_loc, "tol": tol},
+        details={"worst_location": worst_loc, "tol": GRADCHECK_TOL},
     )
 
 
@@ -356,27 +357,18 @@ def finite_length_monitor(trace, converged: bool = False) -> CheckReport:
     )
 
 
-def check_generator_convexity(
-    gen: BregmanGenerator,
-    dim: int,
-    probes: int = 50,
-    seed: int = 0,
-    radius: float = 10.0,
-) -> CheckReport:
+def check_generator_convexity(gen: BregmanGenerator, dim: int) -> CheckReport:
     """Probe <grad phi(u) - grad phi(v), u - v> / ||u - v||^2 on random pairs.
 
-    Passes iff the minimal observed ratio is at least ``modulus_nu - 1e-8``.
-    Probe points are uniform in a box of the given radius around the origin.
-    ``worst_violation`` is modulus_nu minus the minimal ratio; ``details``
+    Passes iff the minimal observed ratio is at least ``modulus_nu - 1e-8``
+    over ``CONVEXITY_PROBES`` pairs. ``worst_violation`` is modulus_nu minus the minimal ratio; ``details``
     holds the generator's ``label``, the ``min_ratio`` and the ``modulus_nu``.
     """
-    if probes < 1:
-        raise ParameterError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CONVEXITY_SEED)
     min_ratio = math.inf
-    for _ in range(probes):
-        u = rng.uniform(-radius, radius, size=dim)
-        v = rng.uniform(-radius, radius, size=dim)
+    for _ in range(CONVEXITY_PROBES):
+        u = rng.uniform(-CONVEXITY_RADIUS, CONVEXITY_RADIUS, size=dim)
+        v = rng.uniform(-CONVEXITY_RADIUS, CONVEXITY_RADIUS, size=dim)
         d = u - v
         denom = float(d @ d)
         if denom < 1e-24:
@@ -395,20 +387,28 @@ def check_generator_convexity(
     )
 
 
-def estimate_cross_lipschitz(
-    p: Problem,
-    x: BlockVector,
-    grad_block: int,
-    vary_block: int,
-    probes: int = 20,
-    seed: int = 0,
-) -> float:
+def estimate_cross_lipschitz(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
     """Empirical bound on ||grad_i H(.., u, ..) - grad_i H(.., w, ..)|| / ||u - w||
     where block ``vary_block`` (!= grad_block) moves and the rest stay at x,
     times ``problem.SAFETY``."""
     if grad_block == vary_block:
         raise ParameterError("grad_block and vary_block must differ")
-    return SAFETY * _max_gradient_ratio(p, x, grad_block, vary_block, probes, seed)
+    return SAFETY * _max_gradient_ratio(p, x, grad_block, vary_block)
+
+
+def check_declared_lipschitz(p: Problem, x: BlockVector, i: int) -> CheckReport:
+    """``lipschitz_declared[<block id>]``: fails when the largest gradient ratio
+    observed in block i at ``x`` (``estimate_partial_lipschitz / SAFETY``)
+    exceeds the declared partial Lipschitz constant by a relative ``LIPSCHITZ_RTOL``."""
+    declared = float(p.coupling.partial_lipschitz(x, i))
+    observed = estimate_partial_lipschitz(p, x, i) / SAFETY
+    excess = observed - declared
+    return CheckReport(
+        f"lipschitz_declared[{p.block_ids[i]}]",
+        "pass" if excess <= LIPSCHITZ_RTOL * abs(declared) else "fail",
+        worst_violation=excess,
+        details={"declared": declared, "observed": observed},
+    )
 
 
 def _cross_lipschitz(p: Problem, x: BlockVector) -> float:
@@ -437,7 +437,7 @@ CHECKS = {
     "residual_vanishes": lambda p, res, x0: check_residual_vanishes(
         res.trace, l_hat=_l_hat(_cross_lipschitz(p, res.final_x), res.trace.records)
     ),
-    "critical_point": lambda p, res, x0: res.certificate,  # run certified final_x, tol 1e-6
+    "critical_point": lambda p, res, x0: res.certificate,  # run certified final_x
     "gradcheck": lambda p, res, x0: gradcheck(p, x0),
     "finite_length": lambda p, res, x0: finite_length_monitor(
         res.trace, converged=res.status in ("residual-converged", "step-converged")

@@ -96,6 +96,13 @@ class BlockStrategy:
     def __post_init__(self):
         if self.kind not in ("exact", "linearized", "augmented", "custom"):
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
+        for name, value, needed in (
+            ("an alpha rule", self.alpha_rule, self.kind in ("linearized", "augmented")),
+            ("a generator factory", self.generator_factory, self.kind == "custom"),
+        ):
+            if (value is not None) != needed:
+                verb = "needs" if needed else "must not have"
+                raise ConfigurationError(f"a strategy of kind {self.kind!r} {verb} {name}")
 
 
 @dataclass(frozen=True)
@@ -207,18 +214,13 @@ def validate_strategies(p: Problem, strategies: Sequence[BlockStrategy], x0: Blo
         )
     for i, s in enumerate(strategies):
         term = p.terms[i]
-        if s.kind in ("linearized", "augmented") and s.alpha_rule is None:
-            missing = "an alpha rule"
-        elif s.kind == "custom" and s.generator_factory is None:
-            missing = "a generator factory"
-        elif s.kind in ("linearized", "custom") and term.prox is None:
-            missing = "a prox oracle"
-        elif term.exact_coupled_min is None and term.prox is None:
-            missing = "exact_coupled_min or a prox oracle"
-        else:
-            missing = ""
-        if missing:
-            raise ConfigurationError(f"block {p.block_ids[i]!r}: {s.kind} needs {missing}")
+        if term.prox is None:
+            if s.kind in ("linearized", "custom"):
+                raise ConfigurationError(f"block {p.block_ids[i]!r}: {s.kind} needs a prox oracle")
+            if term.exact_coupled_min is None:
+                raise ConfigurationError(
+                    f"block {p.block_ids[i]!r}: {s.kind} needs exact_coupled_min or a prox oracle"
+                )
         if s.kind == "linearized":
             _resolve_alpha(s, p, x0, i)
 
@@ -309,7 +311,7 @@ def _solve_with_generator(
 
     L_sub = float(p.coupling.partial_lipschitz(x, i)) + gen.lipschitz_L
     return inner_exact_min(smooth_value, smooth_grad, L_sub, term.value, term.prox, anchor,
-                           tol=cfg.inner_tol, max_iter=cfg.inner_max_iter)
+                           cfg.inner_tol, cfg.inner_max_iter)
 
 
 class BlockStep(NamedTuple):
@@ -400,9 +402,9 @@ def run(
     """Run Gauss-Seidel sweeps until a stopping rule fires.
 
     The trace records every completed sweep. Stopping order per sweep:
-    divergence guard, residual_tol on the subgradient residual norm (only on
-    a sweep whose every block flag is "ok" or "converged"), step_tol on the
-    full-sweep step norm, max_outer_iter.
+    divergence guard, residual_tol on the subgradient residual norm, step_tol
+    on the full-sweep step norm, max_outer_iter. The two tolerances end the
+    run only on a sweep whose every block flag is "ok" or "converged".
     """
     if not p.matches(x0):
         raise ConfigurationError(f"x0 structure does not match problem {p.name!r}")
@@ -464,13 +466,14 @@ def run(
             status = "diverged"
             break
         # a capped or rejected inner solve leaves a residual that is not a
-        # subgradient of Phi, so it cannot end the run
+        # subgradient of Phi, and a rejected one a step that moved nothing,
+        # so neither can end the run
         if res_norm <= cfg.residual_tol and trace.records[-1].inner_flag == "ok":
             status = "residual-converged"
             break
-        if step_norm <= cfg.step_tol:
+        if step_norm <= cfg.step_tol and trace.records[-1].inner_flag == "ok":
             status = "step-converged"
             break
 
-    certificate = _diag.critical_point_certificate(p, x, tol=1e-6)
+    certificate = _diag.critical_point_certificate(p, x)
     return RunResult(final_x=x, trace=trace, status=status, certificate=certificate)

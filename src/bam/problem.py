@@ -392,15 +392,11 @@ def build_separable_quadratic_badgrad() -> Problem:
     )
 
 
-def build_multiblock_quadratic(
-    n_blocks: int,
-    seed: int = 0,
-    targets: Optional[Array] = None,
-) -> Problem:
+def build_multiblock_quadratic(n_blocks: int, seed: int = 0) -> Problem:
     """The coupled quadratic of ``_coupled_quadratic`` on n >= 3 scalar blocks.
 
-    The couplings c_ij in [0.1, 1] are drawn from ``seed``, and so are the
-    targets t_i in [-1, 1] when ``targets`` is not given.
+    The couplings c_ij in [0.1, 1] and then the targets t_i in [-1, 1] are
+    drawn from ``seed``.
     """
     if n_blocks < 3:
         raise ParameterError(f"n_blocks must be >= 3, got {n_blocks}")
@@ -409,35 +405,30 @@ def build_multiblock_quadratic(
     iu = np.triu_indices(n_blocks, k=1)
     C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
     C = C + C.T
-    if targets is None:
-        t = rng.uniform(-1.0, 1.0, size=n_blocks)
-    else:
-        t = np.asarray(targets, dtype=float).ravel()
-        if t.size != n_blocks:
-            raise ShapeError("targets must have one entry per block")
-    return _coupled_quadratic(C, t)
+    return _coupled_quadratic(C, rng.uniform(-1.0, 1.0, size=n_blocks))
 
 
 # factor on the largest observed gradient ratio in the empirical Lipschitz estimates
 SAFETY = 1.5
+# probe pairs per empirical Lipschitz estimate, and the seed they are drawn from
+LIPSCHITZ_PROBES = 20
+LIPSCHITZ_SEED = 0
 
 
-def _max_gradient_ratio(
-    p: Problem, x: BlockVector, grad_block: int, vary_block: int, probes: int, seed: int
-) -> float:
-    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``probes`` seeded pairs.
+def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
+    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs.
 
     i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
     standard-normal draws and keep the other blocks at ``x``. Degenerate pairs
     are redrawn; 100 of them raise ``EstimationError``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
     dim = p.block_dims[vary_block]
     base = x.block(vary_block)
     worst = 0.0
     failures = 0
     done = 0
-    while done < probes:
+    while done < LIPSCHITZ_PROBES:
         du = rng.standard_normal(dim)
         dw = rng.standard_normal(dim)
         denom = float(np.linalg.norm(du - dw))
@@ -453,21 +444,13 @@ def _max_gradient_ratio(
     return worst
 
 
-def estimate_partial_lipschitz(
-    p: Problem,
-    x: BlockVector,
-    i: int,
-    probes: int = 20,
-    seed: int = 0,
-) -> float:
+def estimate_partial_lipschitz(p: Problem, x: BlockVector, i: int) -> float:
     """Empirical bound on the block-i partial gradient Lipschitz constant.
 
     Samples probe pairs in block i around ``x`` with the other blocks fixed,
     takes the largest ratio ||grad_i H(u) - grad_i H(w)|| / ||u - w||, and
     multiplies by ``SAFETY``. The declared ``partial_lipschitz`` plays no
     part, so an estimate above ``SAFETY`` times it shows the declared constant
-    is too small.
+    is too small (``diagnostics.check_declared_lipschitz``).
     """
-    if probes < 2:
-        raise ParameterError("probes must be >= 2")
-    return SAFETY * _max_gradient_ratio(p, x, i, i, probes, seed)
+    return SAFETY * _max_gradient_ratio(p, x, i, i)

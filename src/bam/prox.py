@@ -69,6 +69,7 @@ def group_soft_threshold(v: Array, groups: Sequence[Sequence[int]], tau: float) 
     return group_shrink(v, validate_groups(groups, np.size(v)), tau)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is detected and rejected below
 def inner_exact_min(
     smooth_value: Callable[[Array], float],
     smooth_grad: Callable[[Array], Array],
@@ -76,8 +77,8 @@ def inner_exact_min(
     f_value: Callable[[Array], float],
     f_prox: Callable[[Array, float], Array],
     anchor: Array,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
+    tol: float,
+    max_iter: int,
 ) -> tuple[Array, str]:
     """Accelerated proximal-gradient solve of min_u smooth(u) + f(u), started at ``anchor``.
 
@@ -92,7 +93,9 @@ def inner_exact_min(
 
     The objective need not fall at every iterate, but the returned point
     never has a larger total objective than the anchor: when the last w
-    does, the anchor is returned with the flag "ascent-rejected".
+    does, or its objective is not finite, or the iterates overflow (as an
+    underestimated L can make them), the anchor is returned with the flag
+    "ascent-rejected". A non-finite objective at the anchor raises.
     """
     if f_prox is None:
         raise ParameterError("inner solver needs a prox oracle for the block term")
@@ -100,13 +103,9 @@ def inner_exact_min(
     L = max(float(smooth_lipschitz), 1e-12)
     step = 1.0 / L
 
-    def total(w: Array) -> float:
-        val = float(smooth_value(w)) + float(f_value(w))
-        if not math.isfinite(val):
-            raise EvaluationError("non-finite subproblem objective in inner solver")
-        return val
-
-    obj_anchor = total(start)
+    obj_anchor = float(smooth_value(start)) + float(f_value(start))
+    if not math.isfinite(obj_anchor):
+        raise EvaluationError("non-finite subproblem objective at the inner solver's anchor")
     u = y = start
     t = 1.0
     flag = "hit-cap"
@@ -116,9 +115,12 @@ def inner_exact_min(
             raise ShapeError("smooth gradient has wrong dimension")
         w = np.asarray(f_prox(y - step * g, step), dtype=float).ravel()
         d = w - y
-        if L * math.sqrt(d @ d) <= tol:
+        residual = L * math.sqrt(d @ d)
+        if residual <= tol:
             u, flag = w, "converged"
             break
+        if not residual < math.inf:  # inf or NaN: w or y overflowed
+            return start, "ascent-rejected"
         move = w - u
         if d @ move < 0.0:  # (y - w).(w - u) > 0: the momentum points uphill
             t, y = 1.0, w
@@ -127,7 +129,8 @@ def inner_exact_min(
             y = w + ((t - 1.0) / t_next) * move
             t = t_next
         u = w
-    if total(u) > obj_anchor:
+    obj = float(smooth_value(u)) + float(f_value(u))
+    if not (math.isfinite(obj) and obj <= obj_anchor):
         # an underestimated L, or extrapolation past the anchor's level set,
         # must not produce an ascent step
         return start, "ascent-rejected"

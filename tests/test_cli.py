@@ -277,6 +277,24 @@ class TestConfigRejection:
                     "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": -math.inf}}),
                 "-Infinity is not allowed", id="lambda1-minus-infinity",
             ),
+            pytest.param(
+                with_strategies([
+                    {"kind": "exact", "alpha_rule": {"kind": "constant", "value": 5.0}},
+                    {"kind": "exact"},
+                ]),
+                "bad strategies[0]: a strategy of kind 'exact' must not have an alpha rule",
+                id="exact-with-alpha-rule",
+            ),
+            pytest.param(
+                with_strategies([{"kind": "exact"}, {"kind": "augmented"}]),
+                "bad strategies[1]: a strategy of kind 'augmented' needs an alpha rule",
+                id="augmented-without-alpha-rule",
+            ),
+            pytest.param(
+                with_strategies([{"kind": "custom"}, {"kind": "exact"}]),
+                "bad strategies[0]: a strategy of kind 'custom' needs a generator factory",
+                id="custom-without-factory",
+            ),
         ],
     )
     def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):
@@ -348,6 +366,16 @@ class TestCompare:
         assert f"['{key}']" in caplog.records[-1].getMessage()
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_duplicate_presets_rejected_before_running(self, tmp_path, caplog):
+        cfg = sep_quad_config()
+        del cfg["preset"]
+        cfg["presets"] = ["am", "am"]
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["compare", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+        assert "presets must be distinct" in caplog.records[-1].getMessage()
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_preset_rejected_before_running(self, tmp_path):
         cfg = sep_quad_config()
         del cfg["preset"]
@@ -369,6 +397,8 @@ class TestCheck:
         assert "gradcheck" in names
         assert "prox_brute_force" not in names  # acceptance 05 tests the prox maps
         assert any(n.startswith("generator_convexity") for n in names)
+        declared = {c["name"]: c["status"] for c in report["checks"] if c["name"].startswith("lipschitz")}
+        assert declared == {"lipschitz_declared[y]": "pass", "lipschitz_declared[z]": "pass"}
 
     def test_seeded_gradient_fault_is_caught(self, tmp_path):
         cfg = sep_quad_config()

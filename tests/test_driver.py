@@ -171,15 +171,32 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="convexity"):
             validate_strategies(sep_quad, [strat, strat], sep_quad.zeros())
 
-    def test_linearized_needs_rule(self, sep_quad):
-        strat = BlockStrategy("linearized")
-        with pytest.raises(ConfigurationError, match="alpha rule"):
-            validate_strategies(sep_quad, [strat, strat], sep_quad.zeros())
+    def test_linearized_needs_rule(self):
+        with pytest.raises(ConfigurationError, match="needs an alpha rule"):
+            BlockStrategy("linearized")
 
-    def test_custom_needs_factory(self, sep_quad):
-        strat = BlockStrategy("custom")
-        with pytest.raises(ConfigurationError, match="factory"):
-            validate_strategies(sep_quad, [strat, strat], sep_quad.zeros())
+    def test_custom_needs_factory(self):
+        with pytest.raises(ConfigurationError, match="needs a generator factory"):
+            BlockStrategy("custom")
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("augmented", {}, "needs an alpha rule"),
+            ("exact", {"alpha_rule": AlphaRule("constant", 5.0)}, "must not have an alpha rule"),
+            ("custom", {"generator_factory": lambda k, x, i: make_augmented_generator(1.0),
+                        "alpha_rule": AlphaRule("constant", 1.0)}, "must not have an alpha rule"),
+            ("exact", {"generator_factory": lambda k, x, i: make_augmented_generator(1.0)},
+             "must not have a generator factory"),
+            ("linearized", {"alpha_rule": AlphaRule("constant", 5.0),
+                            "generator_factory": lambda k, x, i: make_augmented_generator(1.0)},
+             "must not have a generator factory"),
+        ],
+        ids=["augmented-no-rule", "exact-rule", "custom-rule", "exact-factory", "linearized-factory"],
+    )
+    def test_fields_the_kind_ignores_are_rejected(self, kind, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            BlockStrategy(kind, **fields)
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ParameterError):
@@ -309,14 +326,26 @@ class TestHonestStop:
         assert res.trace.records[1].residual <= cfg.residual_tol
         assert (res.status, res.sweeps) == ("max-iter", 6)
 
-    def test_rejected_sweep_falls_through_to_the_step_rule(self):
-        # both blocks fall back to their anchors: residual 0, step 0
+    def test_rejected_sweep_does_not_stop_on_either_rule(self):
+        # both blocks fall back to their anchors: residual 0 and step 0, yet
+        # the start point (0, 1) is not critical (d_y Phi = {-10})
         p = make_underdeclared_problem()
         cfg = SolverConfig(max_outer_iter=3, residual_tol=1e3, inner_max_iter=5)
         res = run(p, [BlockStrategy("exact")] * 2, cfg, p.default_x0)
-        rec = res.trace.records[-1]
-        assert (rec.residual, rec.inner_flag) == (0.0, "ascent-rejected")
-        assert (res.status, res.sweeps) == ("step-converged", 1)
+        for rec in res.trace.records:
+            assert (rec.residual, rec.step_norm_sq, rec.inner_flag) == (0.0, 0.0, "ascent-rejected")
+        assert (res.status, res.sweeps) == ("max-iter", 3)
+
+    @pytest.mark.parametrize("inner_max_iter", [5, 50, 500, 5000])
+    def test_overflowing_inner_solves_are_rejected_not_diverged(self, inner_max_iter):
+        # at 500 and 5000 inner iterations the underestimated L makes the inner
+        # iterates overflow; the blocks are rejected, and the run does not diverge
+        p = make_underdeclared_problem()
+        cfg = SolverConfig(max_outer_iter=4, inner_max_iter=inner_max_iter)
+        res = run(p, resolve_strategy_preset("am"), cfg, p.default_x0)
+        assert (res.status, res.sweeps) == ("max-iter", 4)
+        assert {f for rec in res.trace.records for f in rec.inner_flags} == {"ascent-rejected"}
+        np.testing.assert_array_equal(res.final_x.to_flat(), [0.0, 1.0])
 
 
 def test_callback_sees_every_sweep(sep_quad):

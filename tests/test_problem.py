@@ -11,6 +11,7 @@ from bam.problem import (
     BlockTerm,
     CouplingOracle,
     Problem,
+    _coupled_quadratic,
     build_multiblock_quadratic,
     build_sparse_group_instance,
     estimate_partial_lipschitz,
@@ -214,7 +215,8 @@ class TestSparseGroup:
 class TestMultiblockQuadratic:
     def test_equal_targets_give_zero_optimum(self):
         n = 4
-        p = build_multiblock_quadratic(n, seed=0, targets=np.full(n, 0.37))
+        C = build_multiblock_quadratic(n, seed=0).metadata["couplings"]
+        p = _coupled_quadratic(C, np.full(n, 0.37))
         np.testing.assert_allclose(p.metadata["minimizer"], np.full(n, 0.37), atol=1e-12)
         assert p.metadata["phi_star"] == pytest.approx(0.0, abs=1e-24)
 
@@ -275,27 +277,23 @@ def _decoupled_problem():
 
 class TestEstimatePartialLipschitz:
     def test_separable_quadratic_block_y(self, sep_quad):
-        est = estimate_partial_lipschitz(sep_quad, sep_quad.zeros(), 0, probes=20, seed=0)
+        est = estimate_partial_lipschitz(sep_quad, sep_quad.zeros(), 0)
         assert 2.0 <= est <= 3.0
 
     def test_sparse_group_block_z(self, sparse_group):
-        est = estimate_partial_lipschitz(sparse_group, sparse_group.default_x0, 1, probes=20, seed=0)
+        est = estimate_partial_lipschitz(sparse_group, sparse_group.default_x0, 1)
         # grad_z H = 2(z - Ay) has modulus exactly 2; safety factor 1.5
         assert est == pytest.approx(3.0, rel=1e-12)
 
     def test_reveals_an_underdeclared_constant(self):
         p = make_underdeclared_problem()
         # the true modulus 10 times the safety factor, not the declared 1
-        est = estimate_partial_lipschitz(p, p.default_x0, 0, probes=20, seed=0)
+        est = estimate_partial_lipschitz(p, p.default_x0, 0)
         assert est == pytest.approx(15.0, rel=1e-12)
 
     def test_decoupled_gives_zero(self):
         p = _decoupled_problem()
-        assert estimate_partial_lipschitz(p, p.default_x0, 0, probes=10, seed=0) == 0.0
-
-    def test_requires_two_probes(self, sep_quad):
-        with pytest.raises(ParameterError):
-            estimate_partial_lipschitz(sep_quad, sep_quad.zeros(), 0, probes=1)
+        assert estimate_partial_lipschitz(p, p.default_x0, 0) == 0.0
 
     def test_degenerate_probes_raise(self):
         # constant rng producing identical pairs
@@ -310,7 +308,7 @@ class TestEstimatePartialLipschitz:
         problem_mod.np.random.default_rng = lambda seed: Zero()
         try:
             with pytest.raises(EstimationError):
-                estimate_partial_lipschitz(p, p.default_x0, 0, probes=5, seed=0)
+                estimate_partial_lipschitz(p, p.default_x0, 0)
         finally:
             problem_mod.np.random.default_rng = orig
 

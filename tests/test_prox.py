@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bam.bregman import make_zero_generator
-from bam.errors import ParameterError
+from bam.errors import EvaluationError, ParameterError
 from bam.problem import build_sparse_group_instance
 from bam.prox import (
     group_shrink,
@@ -190,6 +193,7 @@ class TestInnerExactMin:
             p.terms[0].prox,
             anchor,
             tol=1e-10,
+            max_iter=5000,
         )
         assert flag == "converged"
         np.testing.assert_allclose(u, anchor, atol=1e-12)
@@ -205,6 +209,7 @@ class TestInnerExactMin:
             p.terms[0].prox,
             np.array([0.0]),
             tol=1e-12,
+            max_iter=5000,
         )
         assert flag == "converged"
         assert u[0] == pytest.approx(0.5, abs=1e-10)
@@ -276,9 +281,50 @@ class TestInnerExactMin:
         np.testing.assert_array_equal(u, anchor)
         assert u is not anchor
 
+    @pytest.mark.parametrize("max_iter", [500, 5000])
+    def test_overflowing_iterates_return_the_anchor(self, max_iter):
+        # 5u^2 declared L = 1 against a true 10: each step multiplies u by -9,
+        # so the iterates overflow long before either cap
+        anchor = np.array([1.0])
+        calls = {"n": 0}
+
+        def grad(u):
+            calls["n"] += 1
+            return 10.0 * u
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is handled, not reported
+            u, flag = inner_exact_min(
+                lambda u: 5.0 * float(u @ u), grad, 1.0,
+                lambda u: 0.0, lambda v, tau: v, anchor, tol=1e-12, max_iter=max_iter,
+            )
+        assert flag == "ascent-rejected"
+        np.testing.assert_array_equal(u, anchor)
+        assert u is not anchor
+        assert calls["n"] < 500  # stopped at the overflow, not at the cap
+
+    def test_non_finite_final_objective_returns_the_anchor(self):
+        # the iterates stay finite, but the objective overflows away from the anchor
+        anchor = np.array([1.0])
+        u, flag = inner_exact_min(
+            lambda u: 0.0 if u[0] == 1.0 else math.inf, lambda u: np.zeros(1), 1.0,
+            lambda u: 0.0, lambda v, tau: v - 1.0, anchor, tol=1e-12, max_iter=3,
+        )
+        assert flag == "ascent-rejected"
+        np.testing.assert_array_equal(u, anchor)
+
+    def test_non_finite_objective_at_the_anchor_raises(self):
+        with pytest.raises(EvaluationError):
+            inner_exact_min(
+                lambda u: math.nan, lambda u: np.zeros(1), 1.0,
+                lambda u: 0.0, lambda v, tau: v, np.ones(1), tol=1e-12, max_iter=3,
+            )
+
     def test_missing_prox_is_a_configuration_error(self):
         with pytest.raises(ParameterError):
-            inner_exact_min(lambda u: 0.0, lambda u: np.zeros(1), 1.0, lambda u: 0.0, None, np.zeros(1))
+            inner_exact_min(
+                lambda u: 0.0, lambda u: np.zeros(1), 1.0, lambda u: 0.0, None, np.zeros(1), 1e-10, 10
+            )
 
     def test_hit_cap_flag(self):
         rng = np.random.default_rng(9)
