@@ -2,8 +2,7 @@
 
 BlockVector is the iterate type used by the drivers: immutable, all-finite,
 with a fixed block layout. Updates build new vectors via ``with_block``, which
-shares the untouched (read-only) block arrays, so oracles may key cached
-products on the identity of a block array.
+shares the untouched (read-only) block arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class BlockVector:
         Non-finite entries are rejected.
     """
 
-    __slots__ = ("_ids", "_arrays", "_dim", "_flat")
+    __slots__ = ("_ids", "_arrays", "_dim")
 
     def __init__(self, blocks: Iterable[tuple[str, Sequence[float]]]):
         ids: list[str] = []
@@ -46,7 +45,6 @@ class BlockVector:
         self._ids = tuple(ids)
         self._arrays = tuple(arrays)
         self._dim = int(sum(a.size for a in arrays))
-        self._flat = None
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -88,21 +86,11 @@ class BlockVector:
         out._ids = self._ids
         out._arrays = tuple(arrays)
         out._dim = self._dim
-        out._flat = None
         return out
 
     def to_flat(self) -> np.ndarray:
-        """The blocks concatenated in order, as one read-only array.
-
-        It is built on the first call and the same array is returned after
-        that; copy it before writing into it.
-        """
-        flat = self._flat
-        if flat is None:
-            flat = np.concatenate(self._arrays)
-            flat.setflags(write=False)
-            self._flat = flat
-        return flat
+        """The blocks concatenated in order, as a new array."""
+        return np.concatenate(self._arrays)
 
     def same_structure(self, other: "BlockVector") -> bool:
         return self._ids == other._ids and all(

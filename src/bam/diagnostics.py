@@ -225,13 +225,14 @@ def check_residual_bound(trace, l_cross: float) -> CheckReport:
     )
 
 
-def check_residual_vanishes(trace, l_hat: float) -> CheckReport:
+def check_residual_vanishes(trace, l_cross: float) -> CheckReport:
     """Trend surrogate for the residual converging to zero.
 
     Passes iff (a) the median residual over the last 10% of sweeps is at
-    most 10 * (median step norm over the same tail) * l_hat, and (b) the
+    most 10 * (median step norm over the same tail) * L_hat, and (b) the
     final residual is strictly below the minimum of the first 10 sweeps'
-    residuals. Inconclusive with fewer than 20 sweeps.
+    residuals. L_hat is sqrt(2) * (l_cross + the trace's largest finite
+    generator Lipschitz constant). Inconclusive with fewer than 20 sweeps.
     """
     n = len(trace.records)
     if n < 20:
@@ -243,6 +244,7 @@ def check_residual_vanishes(trace, l_hat: float) -> CheckReport:
     med_step = float(np.median([math.sqrt(r.step_norm_sq) for r in tail]))
     head_min = min(r.residual for r in trace.records[:10])
     final = trace.records[-1].residual
+    l_hat = _l_hat(l_cross, trace.records)
     v1 = med_res - 10.0 * med_step * l_hat
     v2 = final - head_min
     ok = v1 <= 0.0 and v2 < 0.0
@@ -435,7 +437,7 @@ CHECKS = {
         res.trace, l_cross=_cross_lipschitz(p, res.final_x)
     ),
     "residual_vanishes": lambda p, res, x0: check_residual_vanishes(
-        res.trace, l_hat=_l_hat(_cross_lipschitz(p, res.final_x), res.trace.records)
+        res.trace, l_cross=_cross_lipschitz(p, res.final_x)
     ),
     "critical_point": lambda p, res, x0: res.certificate,  # run certified final_x
     "gradcheck": lambda p, res, x0: gradcheck(p, x0),

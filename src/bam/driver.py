@@ -12,13 +12,13 @@ with the generator phi_i^k chosen by the block's strategy:
 * Augmented   -> quadratic generator (alpha/2)||u - x_i^k||^2,
 * Custom      -> user-supplied generator factory.
 
-Exact and Augmented steps use the block's closed-form coupled minimizer when
-it has one; otherwise they, and every Custom step, go to
-``prox.inner_exact_min`` (FISTA with gradient restart, started at x_i^k,
-stopped on the prox-gradient residual at its extrapolated point, never
-returning a point worse than x_i^k). A ``hit-cap`` or ``ascent-rejected``
-inner solve makes its sweep's residual uncertified, and ``run`` does not stop
-``residual-converged`` on it.
+``step_block`` takes a Linearized step in closed form, an Exact or Augmented
+step by the block's closed-form coupled minimizer when it has one, and any
+other step by ``prox.inner_exact_min`` (FISTA with gradient restart, started
+at x_i^k, stopped on the prox-gradient residual at its extrapolated point,
+never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
+``ascent-rejected`` block stops ``run`` on neither tolerance; if it moved
+nothing, it ends the run ``stalled`` (see ``run``).
 
 Iteration-dependent generators are rebuilt each step, freezing the newest
 values of the other blocks. ``step_block`` evaluates one update once into a
@@ -168,7 +168,7 @@ class IterateTrace:
 class RunResult:
     final_x: BlockVector
     trace: IterateTrace
-    status: str  # residual-converged | step-converged | max-iter | diverged
+    status: str  # residual-converged | step-converged | stalled | max-iter | diverged
     certificate: "_diag.CheckReport"
 
     @property
@@ -221,7 +221,7 @@ def validate_strategies(p: Problem, strategies: Sequence[BlockStrategy], x0: Blo
                 raise ConfigurationError(
                     f"block {p.block_ids[i]!r}: {s.kind} needs exact_coupled_min or a prox oracle"
                 )
-        if s.kind == "linearized":
+        if s.alpha_rule is not None:
             _resolve_alpha(s, p, x0, i)
 
 
@@ -242,13 +242,15 @@ def _frozen_partial(p: Problem, x: BlockVector, i: int):
 
 
 def _resolve_alpha(strategy: BlockStrategy, p: Problem, x: BlockVector, i: int) -> tuple[float, float]:
-    """(alpha_k, L_i) at ``x``; Linearized needs alpha_k > L_i for a convex generator."""
+    """(alpha_k, L_i) at ``x``; a convex generator needs alpha_k > L_i for
+    Linearized and alpha_k > 0 for Augmented."""
     L_i = float(p.coupling.partial_lipschitz(x, i))
     alpha = strategy.alpha_rule.resolve(L_i)
-    if strategy.kind == "linearized" and alpha <= L_i:
+    floor = L_i if strategy.kind == "linearized" else 0.0
+    if not alpha > floor:
         raise ConfigurationError(
-            f"block {p.block_ids[i]!r}: Linearized alpha_k = {alpha:g} must exceed the "
-            f"partial Lipschitz constant L_i = {L_i:g} (generator convexity requirement)"
+            f"block {p.block_ids[i]!r}: {strategy.kind} alpha_k = {alpha:g} must exceed "
+            f"{floor:g} (partial Lipschitz constant L_i = {L_i:g}; generator convexity requirement)"
         )
     return alpha, L_i
 
@@ -276,17 +278,11 @@ def make_generator(
 def _solve_with_generator(
     p: Problem, x: BlockVector, i: int, gen: BregmanGenerator, weight: Optional[float], cfg: SolverConfig
 ) -> tuple[np.ndarray, str]:
-    """Solve block i's subproblem with the given generator.
-
-    ``weight`` is the generator's quadratic weight from ``make_generator``;
-    with a weight, closed-form coupled minimizers can be used and the inner
-    solver's gradient is grad_i H(u) + weight*(u - anchor), while None means
-    a general generator that must go through the inner solver.
-    """
+    """Block i's subproblem by ``inner_exact_min``. With ``make_generator``'s
+    ``weight`` the inner gradient is grad_i H(u) + weight*(u - anchor) (grad_i H
+    alone for Exact); None calls the generator's gradient each inner iteration."""
     term = p.terms[i]
     anchor = x.block(i)
-    if weight is not None and term.exact_coupled_min is not None:
-        return _vec(term.exact_coupled_min(x, i, weight)), "ok"
     if not math.isfinite(gen.lipschitz_L):
         raise ConfigurationError(
             f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
@@ -354,6 +350,8 @@ def step_block(
         # the linearization generator turns the subproblem into one prox-gradient step
         g = _vec(p.coupling.partial_grad(x, i))
         new, flag = _vec(term.prox(anchor - g / weight, 1.0 / weight)), "ok"
+    elif weight is not None and term.exact_coupled_min is not None:
+        new, flag = _vec(term.exact_coupled_min(x, i, weight)), "ok"
     else:
         new, flag = _solve_with_generator(p, x, i, gen, weight, cfg)
 
@@ -362,8 +360,6 @@ def step_block(
     d = new - anchor
     if weight is None:
         bregman = bregman_distance(gen, new, anchor)
-    elif weight == 0.0:
-        bregman = 0.0
     else:  # phi = (w/2)||u||^2, minus H with the other blocks frozen when linearized
         bregman = 0.5 * weight * float(d @ d)
         if strategy.kind == "linearized":
@@ -379,16 +375,15 @@ def step_block(
     elif not (math.isfinite(h_new) and math.isfinite(f_new)):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
 
-    if strategy.kind == "linearized":
-        # grad phi's -grad_i H terms leave only the anchor gradient g
-        g_new = None
-        c = -weight * d - g
+    # c_i subtracts grad_i H(x_new), except that a linearized step's grad phi
+    # has -grad_i H terms that leave only the anchor gradient g
+    g_new = None
+    if strategy.kind != "linearized":
+        g = g_new = _vec(p.coupling.partial_grad(x_new, i))
+    if weight is None:
+        c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new)) - g
     else:
-        g_new = _vec(p.coupling.partial_grad(x_new, i))
-        if weight is None:
-            c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new)) - g_new
-        else:
-            c = -weight * d - g_new
+        c = -weight * d - g
     return BlockStep(x_new, gen, flag, h_new, f_new, bregman, float(d @ d), c, g_new)
 
 
@@ -403,8 +398,10 @@ def run(
 
     The trace records every completed sweep. Stopping order per sweep:
     divergence guard, residual_tol on the subgradient residual norm, step_tol
-    on the full-sweep step norm, max_outer_iter. The two tolerances end the
-    run only on a sweep whose every block flag is "ok" or "converged".
+    on the full-sweep step norm, stall, max_outer_iter. The two tolerances end
+    the run only on a sweep whose every block flag is "ok" or "converged"; a
+    sweep that moved nothing ends it "stalled" unless a block is Custom, as
+    only a Custom generator factory reads k, so the next sweep would repeat it.
     """
     if not p.matches(x0):
         raise ConfigurationError(f"x0 structure does not match problem {p.name!r}")
@@ -416,6 +413,7 @@ def run(
     trace = IterateTrace(phi0=phi_value(p, x0))
     cum_step = 0.0
     status = "max-iter"
+    can_stall = all(s.kind != "custom" for s in strategies)
 
     for k in range(1, cfg.max_outer_iter + 1):
         x_prev = x
@@ -467,12 +465,17 @@ def run(
             break
         # a capped or rejected inner solve leaves a residual that is not a
         # subgradient of Phi, and a rejected one a step that moved nothing,
-        # so neither can end the run
+        # so neither can end the run as converged
         if res_norm <= cfg.residual_tol and trace.records[-1].inner_flag == "ok":
             status = "residual-converged"
             break
         if step_norm <= cfg.step_tol and trace.records[-1].inner_flag == "ok":
             status = "step-converged"
+            break
+        # a sweep that moved nothing repeats exactly (an "ok" one stopped on
+        # step_tol above), unless a Custom generator factory reads k
+        if step_norm == 0.0 and can_stall:
+            status = "stalled"
             break
 
     certificate = _diag.critical_point_certificate(p, x)

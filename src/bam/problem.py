@@ -43,10 +43,9 @@ class CouplingOracle:
     u -> grad_i H(..., u, ...) with the other blocks frozen at x.
 
     Oracle results may be shared read-only arrays: callers must not write
-    into them (copy first). ``build_sparse_group_instance`` keeps its last
-    A @ y, residual Ay - z and 2 A^T r, each keyed on the identity of the
-    arrays it was computed from, and reuses each while its key matches; its
-    grad_y H is the kept 2 A^T r itself.
+    into them (copy first). The built-in couplings keep their products in
+    ``_memo``s keyed on the iterate or on one of its block arrays; the
+    sparse_group grad_y H is its kept 2 A^T r itself.
     """
 
     value: Callable[[BlockVector], float]
@@ -163,6 +162,24 @@ def smooth_certificate(grad: Callable[[Array], Array]) -> Callable[[Array, Array
 # built-in instances
 
 
+def _memo(fn: Callable) -> Callable:
+    """``fn`` of one argument, keeping its value for the last argument, tested
+    by identity (iterates and their block arrays are immutable). The slot is
+    one tuple replaced in one assignment, so threads sharing the memo never
+    pair an argument with another argument's value."""
+    slot = (object(), None)
+
+    def memo(key):
+        nonlocal slot
+        last, value = slot
+        if last is not key:
+            value = fn(key)
+            slot = (key, value)
+        return value
+
+    return memo
+
+
 def build_sparse_group_instance(
     n1: int,
     n2: int,
@@ -202,48 +219,29 @@ def build_sparse_group_instance(
     L1 = 2.0 * lam_max
     L2 = 2.0
 
-    # The last A @ y, residual Ay - z and 2 A^T r, each with the arrays it was
-    # computed from. Block arrays are read-only and with_block shares the
-    # untouched ones, so an `is` test on the key is a sound cache check. Each
-    # slot is one tuple replaced in one assignment, so threads sharing the
-    # problem never pair a key with another key's product. A y and r never
-    # leave these closures; the gradient that does is made read-only.
-    ay_slot = (None, None)
-    r_slot = (None, None, None)
-    atr_slot = (None, None)
-
+    # A y is keyed on the y array, so iterates that differ only in z share it;
+    # r = Ay - z and 2 A^T r on the iterate. Only the read-only gradient leaves.
+    @_memo
     def a_times(y: Array) -> Array:
-        nonlocal ay_slot
-        key, ay = ay_slot
-        if key is not y:
-            ay = A @ y
-            ay_slot = (y, ay)
-        return ay
+        return A @ y
 
+    @_memo
     def residual(x: BlockVector) -> Array:
-        nonlocal r_slot
         y, z = x.arrays
-        key_y, key_z, r = r_slot
-        if key_y is not y or key_z is not z:
-            r = a_times(y) - z
-            r_slot = (y, z, r)
-        return r
+        return a_times(y) - z
+
+    @_memo
+    def grad_y(x: BlockVector) -> Array:
+        g = 2.0 * (A.T @ residual(x))
+        g.setflags(write=False)
+        return g
 
     def h_value(x: BlockVector) -> float:
         r = residual(x)
         return float(r @ r)
 
     def h_grad(x: BlockVector, i: int) -> Array:
-        nonlocal atr_slot
-        r = residual(x)
-        if i == 1:
-            return -2.0 * r
-        key, g = atr_slot
-        if key is not r:
-            g = 2.0 * (A.T @ r)
-            g.setflags(write=False)
-            atr_slot = (r, g)
-        return g
+        return grad_y(x) if i == 0 else -2.0 * residual(x)
 
     coupling = CouplingOracle(
         value=h_value,
@@ -294,17 +292,22 @@ def _coupled_quadratic(C: Array, t: Array) -> Problem:
     f_i(x_i) = (x_i - t_i)^2, for a symmetric C with zero diagonal.
 
     The global minimizer solves the positive-definite system
-    (I + Laplacian(C)) x = t.
+    (I + Laplacian(C)) x = t. The oracles read the iterate's flat array from
+    one ``_memo`` keyed on the iterate.
     """
     row_sum = C.sum(axis=1)
 
+    @_memo
+    def flat(x: BlockVector) -> Array:
+        return x.to_flat()
+
     def h_value(x: BlockVector) -> float:
-        xs = x.to_flat()
+        xs = flat(x)
         diff = xs[:, None] - xs[None, :]
         return 0.5 * float(np.sum(C * diff**2))  # each pair counted twice in C
 
     def h_grad(x: BlockVector, i: int) -> Array:
-        xs = x.to_flat()
+        xs = flat(x)
         return np.array([2.0 * float(C[i] @ (xs[i] - xs))])
 
     coupling = CouplingOracle(
@@ -317,7 +320,7 @@ def _coupled_quadratic(C: Array, t: Array) -> Problem:
         ti = float(t[i])
 
         def exact(x: BlockVector, _i: int, alpha: float) -> Array:
-            xs = x.to_flat()
+            xs = flat(x)
             num = 2.0 * ti + 2.0 * float(C[i] @ xs) - 2.0 * C[i, i] * xs[i] + alpha * xs[i]
             den = 2.0 + 2.0 * float(row_sum[i]) + alpha
             return np.array([num / den])

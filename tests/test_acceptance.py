@@ -7,7 +7,6 @@ library advertises. Every criterion prints one PASS/FAIL line.
 
 import functools
 import json
-import math
 import time
 
 import numpy as np
@@ -78,11 +77,6 @@ def suite(sep_quad, sparse_group, multiblock):
             results[(p.name, preset)] = run(p, strategies, cfg, p.default_x0)
     elapsed = time.perf_counter() - t0
     return {"problems": problems, "results": results, "elapsed": elapsed}
-
-
-def l_hat_for(p, trace):
-    lips = [L for r in trace.records for L in r.lip_blocks if math.isfinite(L)]
-    return math.sqrt(2.0) * (p.metadata["cross_lipschitz"] + (max(lips) if lips else 0.0))
 
 
 @criterion(1, "per-sweep descent chain on all presets and problems")
@@ -200,7 +194,7 @@ def test_acceptance_07_residual_vanishes(suite):
         if res.status != "residual-converged":
             continue
         p = suite["problems"][pname]
-        rep = check_residual_vanishes(res.trace, l_hat=l_hat_for(p, res.trace))
+        rep = check_residual_vanishes(res.trace, l_cross=p.metadata["cross_lipschitz"])
         assert rep.passed, f"{pname}/{preset}: {rep.status} {rep.details}"
     for preset in ("plam", "plam-am"):
         res = suite["results"][("sparse_group", preset)]

@@ -174,16 +174,16 @@ class TestResidualBound:
 class TestResidualVanishes:
     def test_short_trace_inconclusive(self):
         recs = [make_record(k, (0.9, 0.8)) for k in range(1, 11)]
-        assert check_residual_vanishes(make_trace(1.0, recs), l_hat=1.0).status == "inconclusive"
+        assert check_residual_vanishes(make_trace(1.0, recs), l_cross=1.0).status == "inconclusive"
 
     def test_constant_residual_fails(self):
         recs = [
             make_record(k, (0.9, 0.8), step_blocks=(0.0, 0.0), residual=1.0)
             for k in range(1, 31)
         ]
-        assert check_residual_vanishes(make_trace(1.0, recs), l_hat=1.0).status == "fail"
+        assert check_residual_vanishes(make_trace(1.0, recs), l_cross=1.0).status == "fail"
 
-    def test_l_hat_is_required(self):
+    def test_l_cross_is_required(self):
         trace = make_trace(1.0, [make_record(k, (0.9, 0.8)) for k in range(1, 31)])
         with pytest.raises(TypeError):
             check_residual_vanishes(trace)
@@ -193,13 +193,16 @@ class TestResidualVanishes:
             make_record(k, (0.9, 0.8), step_blocks=(0.5 * 0.5**k, 0.5 * 0.5**k), residual=0.5**k)
             for k in range(1, 41)
         ]
-        assert check_residual_vanishes(make_trace(1.0, recs), l_hat=2.0).passed
+        # generator constants 0, so L_hat = sqrt(2) * l_cross = 2
+        rep = check_residual_vanishes(make_trace(1.0, recs), l_cross=math.sqrt(2.0))
+        assert rep.passed and rep.details["l_hat"] == pytest.approx(2.0)
 
     def test_passes_on_converging_run(self, sep_quad):
         cfg = SolverConfig(max_outer_iter=200, residual_tol=1e-13, step_tol=0.0)
         res = run(sep_quad, resolve_strategy_preset("plam"), cfg, sep_quad.zeros())
         assert len(res.trace.records) >= 20
-        assert check_residual_vanishes(res.trace, l_hat=2.0 + 2.0 * math.sqrt(2.0)).passed
+        rep = check_residual_vanishes(res.trace, l_cross=sep_quad.metadata["cross_lipschitz"])
+        assert rep.passed
 
 
 class TestCriticalPointCertificate:

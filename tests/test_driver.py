@@ -179,6 +179,39 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="needs a generator factory"):
             BlockStrategy("custom")
 
+    def test_augmented_alpha_must_be_positive(self, sep_quad):
+        # a lipschitz_factor rule on a block whose declared L_i is 0 resolves
+        # to alpha 0, which the first sweep could not use
+        p = replace(sep_quad, coupling=replace(sep_quad.coupling, partial_lipschitz=lambda x, i: 0.0))
+        strat = BlockStrategy("augmented", AlphaRule("lipschitz_factor", 1.0))
+        with pytest.raises(ConfigurationError, match="augmented alpha_k = 0 must exceed 0"):
+            validate_strategies(p, [strat, strat], p.zeros())
+
+    @pytest.mark.parametrize(
+        "strat",
+        [
+            BlockStrategy("linearized", AlphaRule("constant", 5.0)),
+            BlockStrategy("custom", generator_factory=lambda k, x, i: make_augmented_generator(1.0)),
+        ],
+        ids=["linearized", "custom"],
+    )
+    def test_prox_kinds_need_a_prox(self, sep_quad, strat):
+        # the term keeps its closed-form minimizer, which these kinds do not use
+        p = replace(sep_quad, terms=(replace(sep_quad.terms[0], prox=None), sep_quad.terms[1]))
+        with pytest.raises(ConfigurationError, match="needs a prox oracle"):
+            validate_strategies(p, [strat, BlockStrategy("exact")], p.zeros())
+
+    @pytest.mark.parametrize(
+        "strat",
+        [BlockStrategy("exact"), BlockStrategy("augmented", AlphaRule("constant", 1.0))],
+        ids=["exact", "augmented"],
+    )
+    def test_minimizing_kinds_need_a_minimizer_or_a_prox(self, sep_quad, strat):
+        bare = replace(sep_quad.terms[0], prox=None, exact_coupled_min=None)
+        p = replace(sep_quad, terms=(bare, sep_quad.terms[1]))
+        with pytest.raises(ConfigurationError, match="needs exact_coupled_min or a prox oracle"):
+            validate_strategies(p, [strat, BlockStrategy("exact")], p.zeros())
+
     @pytest.mark.parametrize(
         "kind, fields, message",
         [
@@ -315,7 +348,8 @@ def test_every_sweep_is_recorded(multiblock):
 
 class TestHonestStop:
     """A sweep with a capped or rejected inner solve never ends the run as
-    residual-converged: its residual is not a subgradient of Phi."""
+    residual-converged or step-converged: its residual is not a subgradient
+    of Phi. One that moved nothing ends it stalled, unless a block is custom."""
 
     def test_capped_sweep_does_not_stop_on_the_residual(self, sparse_group):
         # one inner iteration per y step: every y solve hits its cap, and from
@@ -334,7 +368,25 @@ class TestHonestStop:
         res = run(p, [BlockStrategy("exact")] * 2, cfg, p.default_x0)
         for rec in res.trace.records:
             assert (rec.residual, rec.step_norm_sq, rec.inner_flag) == (0.0, 0.0, "ascent-rejected")
-        assert (res.status, res.sweeps) == ("max-iter", 3)
+        assert (res.status, res.sweeps) == ("stalled", 1)
+
+    @pytest.mark.parametrize("preset", ["am", "aam"])
+    def test_rejected_sweep_stalls_at_the_default_config(self, preset):
+        p = make_underdeclared_problem()
+        res = run(p, resolve_strategy_preset(preset), SolverConfig(), p.default_x0)
+        assert (res.status, res.sweeps) == ("stalled", 1)
+        assert res.trace.records[0].inner_flags == ("ascent-rejected", "ascent-rejected")
+
+    def test_custom_block_does_not_stall(self):
+        # a custom generator factory reads k, so a sweep that moved nothing
+        # need not repeat: the run goes on to max_outer_iter
+        p = make_underdeclared_problem()
+        strat = BlockStrategy("custom", generator_factory=lambda k, x, i: make_augmented_generator(1.0))
+        cfg = SolverConfig(max_outer_iter=4, inner_max_iter=5)
+        res = run(p, [strat, strat], cfg, p.default_x0)
+        assert (res.status, res.sweeps) == ("max-iter", 4)
+        for rec in res.trace.records:
+            assert (rec.step_norm_sq, rec.inner_flag) == (0.0, "ascent-rejected")
 
     @pytest.mark.parametrize("inner_max_iter", [5, 50, 500, 5000])
     def test_overflowing_inner_solves_are_rejected_not_diverged(self, inner_max_iter):
@@ -343,7 +395,7 @@ class TestHonestStop:
         p = make_underdeclared_problem()
         cfg = SolverConfig(max_outer_iter=4, inner_max_iter=inner_max_iter)
         res = run(p, resolve_strategy_preset("am"), cfg, p.default_x0)
-        assert (res.status, res.sweeps) == ("max-iter", 4)
+        assert (res.status, res.sweeps) == ("stalled", 1)
         assert {f for rec in res.trace.records for f in rec.inner_flags} == {"ascent-rejected"}
         np.testing.assert_array_equal(res.final_x.to_flat(), [0.0, 1.0])
 

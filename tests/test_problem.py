@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from bam.blockvec import BlockVector
+from bam.driver import SolverConfig, resolve_strategy_preset, run
 from bam.errors import EstimationError, ParameterError, ShapeError
 from bam.problem import (
     BlockTerm,
     CouplingOracle,
     Problem,
     _coupled_quadratic,
+    _memo,
     build_multiblock_quadratic,
     build_sparse_group_instance,
     estimate_partial_lipschitz,
@@ -257,6 +259,56 @@ class TestMultiblockQuadratic:
     def test_rejects_small_block_count(self):
         with pytest.raises(ParameterError):
             build_multiblock_quadratic(2, seed=0)
+
+    def test_cached_products_follow_every_block_change(self):
+        """H, every partial gradient and every exact step match a direct numpy
+        evaluation after x1, then x2, then both blocks change."""
+        p = build_multiblock_quadratic(5, seed=2)
+        C, t = p.metadata["couplings"], p.metadata["targets"]
+        row_sum = C.sum(axis=1)
+        rng = np.random.default_rng(5)
+        x = p.default_x0
+        points = [x]
+        for blocks in ([0], [1], [0, 1]):
+            for i in blocks:
+                x = x.with_block(i, rng.standard_normal(1))
+            points.append(x)
+        for x in points:
+            xs = np.concatenate(x.arrays)
+            assert p.coupling.value(x) == 0.5 * float(np.sum(C * (xs[:, None] - xs[None, :]) ** 2))
+            for i in range(p.n_blocks):
+                g = 2.0 * float(C[i] @ (xs[i] - xs))
+                np.testing.assert_array_equal(p.coupling.partial_grad(x, i), [g])
+                for alpha in (0.0, 1.0):
+                    num = 2.0 * t[i] + 2.0 * float(C[i] @ xs) - 2.0 * C[i, i] * xs[i] + alpha * xs[i]
+                    u = num / (2.0 + 2.0 * float(row_sum[i]) + alpha)
+                    np.testing.assert_array_equal(p.terms[i].exact_coupled_min(x, i, alpha), [u])
+
+    def test_one_flat_array_per_block_update(self, monkeypatch):
+        """Steady-state am sweeps on 16 blocks build the iterate's flat array
+        once per block update: H, grad_i H and the next exact step share it."""
+        p = build_multiblock_quadratic(16, seed=7)
+        calls = []
+        to_flat = BlockVector.to_flat
+
+        def counted(x):
+            calls.append(x)
+            return to_flat(x)
+
+        monkeypatch.setattr(BlockVector, "to_flat", counted)
+        after_sweep = []
+        cfg = SolverConfig(max_outer_iter=6, residual_tol=0.0, step_tol=0.0)
+        run(p, resolve_strategy_preset("am", 16), cfg, p.default_x0,
+            callback=lambda k, x: after_sweep.append(len(calls)))
+        assert np.diff(after_sweep).tolist() == [16] * 5
+
+
+def test_memo_keeps_the_value_of_the_last_argument():
+    calls = []
+    memo = _memo(lambda a: calls.append(a) or len(calls))
+    a, b = np.zeros(2), np.zeros(2)  # equal values, distinct arrays
+    assert [memo(a), memo(a), memo(b), memo(a)] == [1, 1, 2, 3]
+    assert calls[0] is a and calls[1] is b
 
 
 def _decoupled_problem():
