@@ -11,7 +11,7 @@ from .bregman import (
     make_linearization_generator,
     make_zero_generator,
 )
-from .diagnostics import check_generator_convexity
+from .diagnostics import check_generator_convexity, estimate_partial_lipschitz
 from .driver import (
     AlphaRule,
     BlockStep,
@@ -30,7 +30,6 @@ from .problem import (
     build_multiblock_quadratic,
     build_separable_quadratic,
     build_sparse_group_instance,
-    estimate_partial_lipschitz,
     phi_value,
 )
 from .prox import group_soft_threshold, inner_exact_min, soft_threshold

@@ -32,10 +32,13 @@ Each command accepts only the top-level keys it reads (``COMMAND_KEYS``):
 "presets"; ``compare`` takes "presets" but not "preset", "strategies" or
 "checks". "problem", "solver" and "output" are common to all three.
 
-"x0" is "default" (problem-specific start), "zeros", or a {block-id: [..]}
-mapping with exactly the problem's block ids. ``--seed N`` overrides
-problem.seed. ``compare`` runs its presets one after another. Environment:
-BAM_LOG={error|info|debug} sets log verbosity.
+``PROBLEMS`` maps each problem name to the test of every parameter it takes
+and to its builder, which owns the defaults. "x0" is "default"
+(problem-specific start), "zeros", or a {block-id: [..]} mapping with exactly
+the problem's block ids. The output names must give two different files in
+existing directories under ``--out-dir``, checked before the first sweep.
+``--seed N`` overrides problem.seed. ``compare`` runs its presets one after
+another. Environment: BAM_LOG={error|info|debug} sets log verbosity.
 """
 
 from __future__ import annotations
@@ -122,46 +125,39 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _build_sparse_group(params: dict, seed: int) -> Problem:
-    n1, n2 = params["n1"], params["n2"]
+    """``build_sparse_group_instance`` on the config parameters, after turning
+    ``group_size`` (default 1) into ``groups`` and ``a_matrix_csv`` into ``a_matrix``."""
     if "groups" in params and "group_size" in params:
         raise ConfigurationError("give either 'groups' or 'group_size', not both")
-    if "groups" in params:
-        groups = params["groups"]
-    else:
-        gs = params.get("group_size", 1)
+    if "groups" not in params:
+        gs, n2 = params.pop("group_size", 1), params["n2"]
         if gs < 1 or n2 % gs != 0:
             raise ConfigurationError(f"group_size {gs} must be >= 1 and divide n2 = {n2}")
-        groups = [list(range(i, i + gs)) for i in range(0, n2, gs)]
-    a_matrix = None
+        params["groups"] = [list(range(i, i + gs)) for i in range(0, n2, gs)]
     if "a_matrix_csv" in params:
-        a_matrix = np.loadtxt(params["a_matrix_csv"], delimiter=",", ndmin=2)
-    return build_sparse_group_instance(
-        n1,
-        n2,
-        groups,
-        seed=seed,
-        lambda1=float(params.get("lambda1", 0.1)),
-        lambda2=float(params.get("lambda2", 0.1)),
-        a_matrix=a_matrix,
-    )
+        params["a_matrix"] = np.loadtxt(params.pop("a_matrix_csv"), delimiter=",", ndmin=2)
+    return build_sparse_group_instance(seed=seed, **params)
 
 
-# problem name -> (allowed parameter keys, builder(parameters, seed)). The
-# entries call the builders by module-level name, so a builder replaced on this
-# module (as perfbench's tracer does) is the one that runs.
+# parameter tests: what a value must be, and the test it must pass
+INTEGER = ("an integer", is_integer)  # sizes: the solver's integer test
+NUMBER = ("a number", is_real)
+
+# problem name -> ({parameter: its test, or None where the builder checks it},
+# builder(parameters, seed)). The entries call the builders by module-level
+# name, so a builder replaced on this module (as perfbench's tracer does) is
+# the one that runs.
 PROBLEMS = {
-    "separable_quadratic": (set(), lambda params, seed: build_separable_quadratic()),
-    "separable_quadratic_badgrad": (
-        set(),
-        lambda params, seed: build_separable_quadratic_badgrad(),
-    ),
+    "separable_quadratic": ({}, lambda params, seed: build_separable_quadratic()),
+    "separable_quadratic_badgrad": ({}, lambda params, seed: build_separable_quadratic_badgrad()),
     "sparse_group": (
-        {"n1", "n2", "groups", "group_size", "lambda1", "lambda2", "a_matrix_csv"},
+        {"n1": INTEGER, "n2": INTEGER, "group_size": INTEGER, "groups": None,
+         "lambda1": NUMBER, "lambda2": NUMBER, "a_matrix_csv": None},
         _build_sparse_group,
     ),
     "multiblock_quadratic": (
-        {"n_blocks"},
-        lambda params, seed: build_multiblock_quadratic(params.get("n_blocks", 3), seed=seed),
+        {"n_blocks": INTEGER},
+        lambda params, seed: build_multiblock_quadratic(seed=seed, **params),
     ),
 }
 
@@ -171,14 +167,13 @@ def build_problem(section: dict, seed_override=None) -> Problem:
     name = section.get("name")
     if not isinstance(name, str) or name not in PROBLEMS:
         raise ConfigurationError(f"unknown problem name {name!r}; choose from {sorted(PROBLEMS)}")
-    allowed, build = PROBLEMS[name]
-    params = _require_keys(section.get("parameters", {}), allowed, "problem.parameters")
-    for key in ("n1", "n2", "group_size", "n_blocks"):  # sizes: the solver's integer test
-        if key in params and not is_integer(params[key]):
-            raise ConfigurationError(f"{key} must be an integer, got {params[key]!r}")
-    for key in ("lambda1", "lambda2"):
-        if key in params and not is_real(params[key]):
-            raise ConfigurationError(f"{key} must be a number, got {params[key]!r}")
+    tests, build = PROBLEMS[name]
+    params = _require_keys(section.get("parameters", {}), set(tests), "problem.parameters")
+    for key, value in params.items():
+        if tests[key] is not None:
+            what, test = tests[key]
+            if not test(value):
+                raise ConfigurationError(f"{key} must be {what}, got {value!r}")
     seed = seed_override if seed_override is not None else section.get("seed", 0)
     if not is_integer(seed):
         raise ConfigurationError(f"seed must be an integer, got {seed!r}")
@@ -201,7 +196,7 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
             )
         try:
             return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigurationError(f"bad x0 mapping: {e}") from e
     raise ConfigurationError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
 
@@ -302,13 +297,24 @@ def _check_names(cfg: dict) -> list:
 
 
 def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
+    """The trace and report paths: two different files in ``out_dir``, which is created."""
     section = _require_keys(cfg.get("output", {}), {"trace", "report"}, "output")
     names = section.get("trace", "trace.csv"), section.get("report", "report.json")
     if not all(isinstance(n, str) for n in names):
         raise ConfigurationError(f"output file names must be strings, got {names!r}")
     base = Path(out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    return base / names[0], base / names[1]
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot use --out-dir {out_dir!r} as a directory: {e}") from e
+    paths = base / names[0], base / names[1]
+    if paths[0].resolve() == paths[1].resolve():
+        raise ConfigurationError(f"the trace and report names give the same file, got {names!r}")
+    if any(path.is_dir() or not path.parent.is_dir() for path in paths):
+        raise ConfigurationError(
+            f"each output name must give a file in an existing directory, got {names!r}"
+        )
+    return paths
 
 
 def cmd_run(cfg: dict, args) -> int:

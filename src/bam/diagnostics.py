@@ -9,6 +9,9 @@ the command line looks checks up in. Reports carry a status:
 * "skipped"           -- the check's precondition is not met (not a failure),
 * "inconclusive"      -- not enough data to decide.
 
+The empirical Lipschitz estimators live here too, next to
+``check_declared_lipschitz``, which tests a problem's declared L_i with them.
+
 Traces are the driver's IterateTrace objects (duck-typed here to avoid a
 module cycle); any object exposing ``phi0`` and ``records`` with the same
 fields works.
@@ -25,7 +28,7 @@ import numpy as np
 from .blockvec import BlockVector
 from .bregman import BregmanGenerator
 from .errors import ConfigurationError, EvaluationError, ParameterError
-from .problem import SAFETY, Problem, _max_gradient_ratio, estimate_partial_lipschitz
+from .problem import Problem
 
 CERTIFICATE_TOL = 1e-6  # largest per-block subdifferential distance that passes
 GRADCHECK_REL_STEP = 1e-5  # central-difference step, relative to 1 + |x_j|
@@ -34,6 +37,9 @@ GRADCHECK_TOL = 1e-6  # largest relative gradient error that passes
 CONVEXITY_PROBES = 30  # generator probe pairs, uniform in a box around the origin,
 CONVEXITY_SEED = 0  # drawn from this seed,
 CONVEXITY_RADIUS = 2.0  # with this half-width
+LIPSCHITZ_PROBES = 20  # probe pairs per empirical Lipschitz estimate,
+LIPSCHITZ_SEED = 0  # drawn from this seed
+SAFETY = 1.5  # factor on the largest observed gradient ratio in those estimates
 LIPSCHITZ_RTOL = 1e-9  # an exactly declared L_i can read a few ulps above itself
 
 
@@ -389,10 +395,44 @@ def check_generator_convexity(gen: BregmanGenerator, dim: int) -> CheckReport:
     )
 
 
+def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
+    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs.
+
+    i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
+    standard-normal draws from ``LIPSCHITZ_SEED`` and keep the other blocks at
+    ``x``. No pair is degenerate: for every block size from 1 to 2000 the
+    smallest ||u - w|| the draws give is 0.14.
+    """
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
+    dim = p.block_dims[vary_block]
+    base = x.block(vary_block)
+    worst = 0.0
+    for _ in range(LIPSCHITZ_PROBES):
+        du = rng.standard_normal(dim)
+        dw = rng.standard_normal(dim)
+        denom = float(np.linalg.norm(du - dw))
+        gu = p.coupling.partial_grad(x.with_block(vary_block, base + du), grad_block)
+        gw = p.coupling.partial_grad(x.with_block(vary_block, base + dw), grad_block)
+        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
+    return worst
+
+
+def estimate_partial_lipschitz(p: Problem, x: BlockVector, i: int) -> float:
+    """Empirical bound on the block-i partial gradient Lipschitz constant.
+
+    Samples probe pairs in block i around ``x`` with the other blocks fixed,
+    takes the largest ratio ||grad_i H(u) - grad_i H(w)|| / ||u - w||, and
+    multiplies by ``SAFETY``. The declared ``partial_lipschitz`` plays no
+    part, so an estimate above ``SAFETY`` times it shows the declared constant
+    is too small (``check_declared_lipschitz``).
+    """
+    return SAFETY * _max_gradient_ratio(p, x, i, i)
+
+
 def estimate_cross_lipschitz(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
     """Empirical bound on ||grad_i H(.., u, ..) - grad_i H(.., w, ..)|| / ||u - w||
     where block ``vary_block`` (!= grad_block) moves and the rest stay at x,
-    times ``problem.SAFETY``."""
+    times ``SAFETY``."""
     if grad_block == vary_block:
         raise ParameterError("grad_block and vary_block must differ")
     return SAFETY * _max_gradient_ratio(p, x, grad_block, vary_block)

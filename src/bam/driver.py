@@ -57,10 +57,13 @@ def is_integer(n) -> bool:
 
 
 def is_real(v) -> bool:
-    """True for an int or a finite float or numpy real, but not a bool."""
+    """True for an int, float or numpy real that converts to a finite float, but not a bool."""
     if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
         return False
-    return is_integer(v) or math.isfinite(v)  # a Python int may be too large for a float
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # a Python int too large for a float
+        return False
 
 
 @dataclass(frozen=True)

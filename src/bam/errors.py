@@ -19,7 +19,3 @@ class EvaluationError(BamError):
 
 class ConfigurationError(BamError):
     """A strategy/problem combination is invalid; raised before a run starts."""
-
-
-class EstimationError(BamError):
-    """An empirical constant estimator could not produce a value."""

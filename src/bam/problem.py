@@ -4,7 +4,8 @@ A Problem couples a smooth term H over all blocks (value, per-block partial
 gradients, per-block partial Lipschitz constants) with one possibly nonsmooth
 term per block (value plus optional prox, closed-form coupled minimizer, and
 subdifferential-distance certificate) and a default start point, whose blocks
-give the problem's block ids and sizes.
+give the problem's block ids and sizes. The empirical Lipschitz estimators
+that test a problem's declared constants are in ``diagnostics``.
 
 Built-in instances:
 
@@ -12,9 +13,9 @@ Built-in instances:
   sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2, with a dense linear
   solve giving the exact global minimizer.
 * ``separable_quadratic``   -- (y-1)^2 + (y-z)^2 + (z+1)^2, the same coupled
-  quadratic on two blocks (c_yz = 1, t = (1, -1)) and the same oracles; global
-  minimizer (1/3, -1/3) with optimal value 4/3. Its ``_badgrad`` variant adds
-  a +0.1 fault to grad_y H.
+  quadratic on two blocks (c_yz = 1, t = (1, -1)) from the same builder, so
+  the same oracles and metadata; global minimizer (1/3, -1/3) with optimal
+  value 4/3. Its ``_badgrad`` variant adds a +0.1 fault to grad_y H.
 * ``sparse_group``          -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2}
   with a seeded Gaussian A; the z-subproblem has a closed-form groupwise
   shrinkage solution.
@@ -29,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .blockvec import BlockVector
-from .errors import EstimationError, EvaluationError, ParameterError, ShapeError
+from .errors import EvaluationError, ParameterError, ShapeError
 from .prox import group_norms, group_shrink, soft_threshold, validate_groups
 
 Array = np.ndarray
@@ -192,9 +193,10 @@ def build_sparse_group_instance(
     """The l1 / group-l2 regression model lam1*||y||_1 + ||Ay-z||^2 + lam2*||z||_{1,2}.
 
     A is n2 x n1 with i.i.d. standard normal entries drawn from ``seed``
-    (or supplied explicitly for reproducibility). L1 = 2*lam_max(A^T A), from a
-    dense symmetric eigensolve of the smaller of the Gram matrices A^T A and
-    A A^T (they share their nonzero eigenvalues); L2 = 2 exactly. The z-subproblem
+    (or supplied explicitly for reproducibility; a supplied A must be finite).
+    L1 = 2*lam_max(A^T A), from a dense symmetric eigensolve of the smaller of
+    the Gram matrices A^T A and A A^T (they share their nonzero eigenvalues);
+    L2 = 2 exactly. The z-subproblem
 
         min_z ||Ay - z||^2 + lam2*||z||_{1,2} + (alpha/2)||z - z_k||^2
 
@@ -211,6 +213,8 @@ def build_sparse_group_instance(
         A = np.asarray(a_matrix, dtype=float)
         if A.shape != (n2, n1):
             raise ShapeError(f"A must be {n2}x{n1}, got {A.shape}")
+        if not np.isfinite(A).all():
+            raise ParameterError("A must be finite, got a NaN or infinite entry")
     else:
         A = np.random.default_rng(seed).standard_normal((n2, n1))
 
@@ -287,13 +291,15 @@ def build_sparse_group_instance(
     )
 
 
-def _coupled_quadratic(C: Array, t: Array) -> Problem:
-    """Scalar blocks x1..xn with H(x) = sum_{i<j} c_ij (x_i - x_j)^2 and
-    f_i(x_i) = (x_i - t_i)^2, for a symmetric C with zero diagonal.
+def _coupled_quadratic(name: str, block_ids: Sequence[str], C: Array, t: Array) -> Problem:
+    """Scalar blocks with H(x) = sum_{i<j} c_ij (x_i - x_j)^2 and
+    f_i(x_i) = (x_i - t_i)^2, for a symmetric C with zero diagonal; the
+    problem ``name`` with one block per id in ``block_ids``, started at 0.
 
     The global minimizer solves the positive-definite system
-    (I + Laplacian(C)) x = t. The oracles read the iterate's flat array from
-    one ``_memo`` keyed on the iterate.
+    (I + Laplacian(C)) x = t; the metadata holds it with ``phi_star``,
+    ``couplings`` C, ``targets`` t and ``cross_lipschitz``. The oracles read
+    the iterate's flat array from one ``_memo`` keyed on the iterate.
     """
     row_sum = C.sum(axis=1)
 
@@ -321,7 +327,7 @@ def _coupled_quadratic(C: Array, t: Array) -> Problem:
 
         def exact(x: BlockVector, _i: int, alpha: float) -> Array:
             xs = flat(x)
-            num = 2.0 * ti + 2.0 * float(C[i] @ xs) - 2.0 * C[i, i] * xs[i] + alpha * xs[i]
+            num = 2.0 * ti + 2.0 * float(C[i] @ xs) + alpha * xs[i]
             den = 2.0 + 2.0 * float(row_sum[i]) + alpha
             return np.array([num / den])
 
@@ -337,9 +343,8 @@ def _coupled_quadratic(C: Array, t: Array) -> Problem:
     M = np.diag(1.0 + row_sum) - C
     minimizer = np.linalg.solve(M, t)
 
-    block_ids = tuple(f"x{i+1}" for i in range(t.size))
     prob = Problem(
-        name="multiblock_quadratic",
+        name=name,
         coupling=coupling,
         terms=tuple(make_term(i) for i in range(t.size)),
         default_x0=BlockVector([(bid, [0.0]) for bid in block_ids]),
@@ -361,17 +366,8 @@ def build_separable_quadratic() -> Problem:
 
     The two-block coupled quadratic with c_yz = 1 and targets (1, -1).
     """
-    base = _coupled_quadratic(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
-    return replace(
-        base,
-        name="separable_quadratic",
-        default_x0=BlockVector([("y", [0.0]), ("z", [0.0])]),
-        metadata={
-            "minimizer": np.array([1.0 / 3.0, -1.0 / 3.0]),
-            "phi_star": 4.0 / 3.0,
-            "cross_lipschitz": 2.0,
-        },
-    )
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return _coupled_quadratic("separable_quadratic", ("y", "z"), C, np.array([1.0, -1.0]))
 
 
 def build_separable_quadratic_badgrad() -> Problem:
@@ -395,7 +391,7 @@ def build_separable_quadratic_badgrad() -> Problem:
     )
 
 
-def build_multiblock_quadratic(n_blocks: int, seed: int = 0) -> Problem:
+def build_multiblock_quadratic(n_blocks: int = 3, seed: int = 0) -> Problem:
     """The coupled quadratic of ``_coupled_quadratic`` on n >= 3 scalar blocks.
 
     The couplings c_ij in [0.1, 1] and then the targets t_i in [-1, 1] are
@@ -408,52 +404,5 @@ def build_multiblock_quadratic(n_blocks: int, seed: int = 0) -> Problem:
     iu = np.triu_indices(n_blocks, k=1)
     C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
     C = C + C.T
-    return _coupled_quadratic(C, rng.uniform(-1.0, 1.0, size=n_blocks))
-
-
-# factor on the largest observed gradient ratio in the empirical Lipschitz estimates
-SAFETY = 1.5
-# probe pairs per empirical Lipschitz estimate, and the seed they are drawn from
-LIPSCHITZ_PROBES = 20
-LIPSCHITZ_SEED = 0
-
-
-def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
-    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs.
-
-    i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
-    standard-normal draws and keep the other blocks at ``x``. Degenerate pairs
-    are redrawn; 100 of them raise ``EstimationError``.
-    """
-    rng = np.random.default_rng(LIPSCHITZ_SEED)
-    dim = p.block_dims[vary_block]
-    base = x.block(vary_block)
-    worst = 0.0
-    failures = 0
-    done = 0
-    while done < LIPSCHITZ_PROBES:
-        du = rng.standard_normal(dim)
-        dw = rng.standard_normal(dim)
-        denom = float(np.linalg.norm(du - dw))
-        if denom < 1e-12:
-            failures += 1
-            if failures >= 100:
-                raise EstimationError("could not sample non-degenerate probe pairs")
-            continue
-        gu = p.coupling.partial_grad(x.with_block(vary_block, base + du), grad_block)
-        gw = p.coupling.partial_grad(x.with_block(vary_block, base + dw), grad_block)
-        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
-        done += 1
-    return worst
-
-
-def estimate_partial_lipschitz(p: Problem, x: BlockVector, i: int) -> float:
-    """Empirical bound on the block-i partial gradient Lipschitz constant.
-
-    Samples probe pairs in block i around ``x`` with the other blocks fixed,
-    takes the largest ratio ||grad_i H(u) - grad_i H(w)|| / ||u - w||, and
-    multiplies by ``SAFETY``. The declared ``partial_lipschitz`` plays no
-    part, so an estimate above ``SAFETY`` times it shows the declared constant
-    is too small (``diagnostics.check_declared_lipschitz``).
-    """
-    return SAFETY * _max_gradient_ratio(p, x, i, i)
+    t = rng.uniform(-1.0, 1.0, size=n_blocks)
+    return _coupled_quadratic("multiblock_quadratic", [f"x{i + 1}" for i in range(n_blocks)], C, t)

@@ -184,6 +184,14 @@ class TestConfigRejection:
                          id="output-list"),
             pytest.param(lambda c: c.update(output={"trace": 5}), "output file names",
                          id="output-number"),
+            pytest.param(lambda c: c.update(output={"trace": "a.txt", "report": "a.txt"}),
+                         "the trace and report names give the same file", id="output-same-name"),
+            pytest.param(lambda c: c.update(output={"trace": ""}),
+                         "must give a file in an existing directory", id="output-empty-name"),
+            pytest.param(lambda c: c.update(output={"report": "."}),
+                         "must give a file in an existing directory", id="output-directory"),
+            pytest.param(lambda c: c.update(output={"trace": "absent/trace.csv"}),
+                         "must give a file in an existing directory", id="output-missing-directory"),
             pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
                          "bad x0 mapping", id="x0-text"),
             pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": [0], "w": [3]}),
@@ -278,6 +286,20 @@ class TestConfigRejection:
                 "-Infinity is not allowed", id="lambda1-minus-infinity",
             ),
             pytest.param(
+                lambda c: c.update(problem={
+                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": 10**400}}),
+                "lambda1 must be a number, got 1000", id="lambda1-huge-int",
+            ),
+            pytest.param(
+                with_strategies([
+                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": 10**400}},
+                    {"kind": "exact"},
+                ]),
+                "bad strategies[0].alpha_rule: value must be a number", id="alpha-huge-int",
+            ),
+            pytest.param(lambda c: c["problem"].update(x0={"y": [10**400], "z": [0.0]}),
+                         "bad x0 mapping", id="x0-huge-int"),
+            pytest.param(
                 with_strategies([
                     {"kind": "exact", "alpha_rule": {"kind": "constant", "value": 5.0}},
                     {"kind": "exact"},
@@ -306,6 +328,26 @@ class TestConfigRejection:
             assert main([command, cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
             assert [r.levelname for r in caplog.records] == ["ERROR"]
             assert message in caplog.records[0].getMessage()
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+    def test_out_dir_naming_a_file_exits_1(self, tmp_path, caplog):
+        cfg_path = write_config(tmp_path, sep_quad_config())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", cfg_path, "--out-dir", str(taken), "--quiet"]) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "cannot use --out-dir" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_a_matrix_exits_1(self, tmp_path, caplog, entry):
+        csv = tmp_path / "A.csv"
+        csv.write_text(f"1,2\n{entry},4\n5,6\n")
+        cfg = sep_quad_config(problem={
+            "name": "sparse_group", "parameters": {"n1": 2, "n2": 3, "a_matrix_csv": str(csv)}})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "A must be finite" in caplog.records[0].getMessage()
         assert not (tmp_path / "trace.csv").exists()
 
     def test_linearized_step_weight_too_small(self, tmp_path, caplog):

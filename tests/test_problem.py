@@ -7,7 +7,8 @@ import pytest
 
 from bam.blockvec import BlockVector
 from bam.driver import SolverConfig, resolve_strategy_preset, run
-from bam.errors import EstimationError, ParameterError, ShapeError
+from bam.diagnostics import estimate_partial_lipschitz
+from bam.errors import ParameterError, ShapeError
 from bam.problem import (
     BlockTerm,
     CouplingOracle,
@@ -16,7 +17,6 @@ from bam.problem import (
     _memo,
     build_multiblock_quadratic,
     build_sparse_group_instance,
-    estimate_partial_lipschitz,
     phi_value,
 )
 from bam.prox import group_shrink, validate_groups
@@ -213,12 +213,19 @@ class TestSparseGroup:
         x = sparse_group.default_x0
         assert again.coupling.value(x) == pytest.approx(sparse_group.coupling.value(x), rel=1e-12)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, entry):
+        A = np.ones((3, 2))
+        A[1, 0] = entry
+        with pytest.raises(ParameterError, match="A must be finite"):
+            build_sparse_group_instance(2, 3, [[0], [1], [2]], a_matrix=A)
+
 
 class TestMultiblockQuadratic:
     def test_equal_targets_give_zero_optimum(self):
         n = 4
         C = build_multiblock_quadratic(n, seed=0).metadata["couplings"]
-        p = _coupled_quadratic(C, np.full(n, 0.37))
+        p = _coupled_quadratic("equal_targets", ["a", "b", "c", "d"], C, np.full(n, 0.37))
         np.testing.assert_allclose(p.metadata["minimizer"], np.full(n, 0.37), atol=1e-12)
         assert p.metadata["phi_star"] == pytest.approx(0.0, abs=1e-24)
 
@@ -346,23 +353,6 @@ class TestEstimatePartialLipschitz:
     def test_decoupled_gives_zero(self):
         p = _decoupled_problem()
         assert estimate_partial_lipschitz(p, p.default_x0, 0) == 0.0
-
-    def test_degenerate_probes_raise(self):
-        # constant rng producing identical pairs
-        class Zero:
-            def standard_normal(self, n):
-                return np.zeros(n)
-
-        p = _decoupled_problem()
-        import bam.problem as problem_mod
-
-        orig = problem_mod.np.random.default_rng
-        problem_mod.np.random.default_rng = lambda seed: Zero()
-        try:
-            with pytest.raises(EstimationError):
-                estimate_partial_lipschitz(p, p.default_x0, 0)
-        finally:
-            problem_mod.np.random.default_rng = orig
 
 
 def test_declared_constants_dominate_empirical_ratios(sep_quad, sparse_group, multiblock):
