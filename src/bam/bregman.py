@@ -58,10 +58,11 @@ class BregmanGenerator:
     label: str = ""
 
     def __post_init__(self):
-        if self.modulus_nu < 0:
-            raise ParameterError("modulus_nu must be nonnegative")
-        if math.isfinite(self.lipschitz_L) and self.modulus_nu > self.lipschitz_L + 1e-15:
-            raise ParameterError("modulus_nu must not exceed lipschitz_L")
+        # each test is written so that a NaN constant fails it
+        if not self.modulus_nu >= 0:
+            raise ParameterError(f"modulus_nu must be nonnegative, got {self.modulus_nu}")
+        if not self.lipschitz_L + 1e-15 >= self.modulus_nu:
+            raise ParameterError(f"modulus_nu must not exceed lipschitz_L, got {self.lipschitz_L}")
 
 
 def bregman_distance(gen: BregmanGenerator, x: Array, y: Array) -> float:
@@ -90,7 +91,7 @@ def make_zero_generator() -> BregmanGenerator:
 
 def make_augmented_generator(alpha: float) -> BregmanGenerator:
     """phi(x) = (alpha/2)||x||^2, so B_phi(x, y) = (alpha/2)||x - y||^2."""
-    if alpha <= 0:
+    if not alpha > 0:  # a NaN alpha fails too
         raise ParameterError(f"alpha must be positive, got {alpha}")
     return BregmanGenerator(
         value=lambda x: 0.5 * alpha * float(np.asarray(x) @ np.asarray(x)),
@@ -122,9 +123,9 @@ def make_linearization_generator(
     Convexity of phi needs alpha strictly above the partial gradient-Lipschitz
     constant of H in this block, which gives modulus alpha - l_partial.
     """
-    if l_partial < 0:
-        raise ParameterError("l_partial must be nonnegative")
-    if alpha <= l_partial:
+    if not l_partial >= 0:  # a NaN constant fails each test
+        raise ParameterError(f"l_partial must be nonnegative, got {l_partial}")
+    if not alpha > l_partial:
         raise ParameterError(
             f"linearization generator needs alpha > partial Lipschitz constant "
             f"({alpha} <= {l_partial}); otherwise phi is not convex"

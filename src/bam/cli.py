@@ -2,11 +2,18 @@
 
 Subcommands:
   run      <config.json>   solve one configuration, run requested checks
-  compare  <config.json>   run >= 2 distinct presets from the same start point
+  compare  <config.json>   solve >= 2 distinct presets from the same start point
   check    <config.json>   ``run`` plus the pre-run checks of the inputs
                            (gradcheck at x0, generator convexity per block,
                            declared against estimated L_i per block); the
                            requested checks default to all of CHECK_NAMES
+
+All three take one path (``run_command``): build the problem, resolve the
+config's solves into {label: strategies} (``build_solves``), validate every
+solve and the output names before the first sweep, run the pre-run checks
+(``check``), solve each from the same start, then write the files: one trace
+and a report with the checks for ``run`` and ``check``, one trace with a
+``preset`` column and a summary report for ``compare``.
 
 Check names and checks come from ``diagnostics.CHECK_NAMES`` and
 ``diagnostics.CHECKS``. ``check`` has no ``prox_brute_force`` entry: the prox
@@ -34,11 +41,12 @@ Each command accepts only the top-level keys it reads (``COMMAND_KEYS``):
 
 ``PROBLEMS`` maps each problem name to the test of every parameter it takes
 and to its builder, which owns the defaults. "x0" is "default"
-(problem-specific start), "zeros", or a {block-id: [..]} mapping with exactly
-the problem's block ids. The output names must give two different files in
-existing directories under ``--out-dir``, checked before the first sweep.
-``--seed N`` overrides problem.seed. ``compare`` runs its presets one after
-another. Environment: BAM_LOG={error|info|debug} sets log verbosity.
+(problem-specific start), "zeros", or a {block-id: [numbers]} mapping with
+exactly the problem's block ids, each entry a list whose items pass the
+``NUMBER`` test. The output names must give two different files in existing
+directories under ``--out-dir``, checked before the first sweep. ``--seed N``
+overrides problem.seed. ``compare`` runs its presets one after another.
+``--quiet`` logs errors only.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -194,19 +201,38 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
             raise ConfigurationError(
                 f"x0 mapping must give exactly the blocks {list(p.block_ids)}, got {sorted(kind)}"
             )
-        try:
-            return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigurationError(f"bad x0 mapping: {e}") from e
+        what, test = NUMBER
+        for bid in p.block_ids:
+            values = kind[bid]
+            if not isinstance(values, list):
+                raise ConfigurationError(
+                    f"bad x0 mapping: block {bid!r} must be a list of numbers, got {values!r}"
+                )
+            for j, v in enumerate(values):
+                if not test(v):
+                    raise ConfigurationError(
+                        f"bad x0 mapping: block {bid!r} entry {j} must be {what}, got {v!r}"
+                    )
+        return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
     raise ConfigurationError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
 
 
-def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
+def build_solves(cfg: dict, p: Problem) -> dict[str, list[BlockStrategy]]:
+    """The config's solves as {label: per-block strategies}: one per name in
+    "presets" (``compare``), else the one "preset", else the explicit
+    "strategies", labelled "custom"."""
+    if "presets" in cfg:
+        names = cfg["presets"]
+        if not isinstance(names, list) or len(names) < 2:
+            raise ConfigurationError("compare needs a 'presets' list with at least 2 entries")
+        if any(names.count(name) > 1 for name in names):
+            raise ConfigurationError(f"compare presets must be distinct, got {names!r}")
+        return {name: resolve_strategy_preset(name, p.n_blocks) for name in names}
     if "preset" in cfg and "strategies" in cfg:
         raise ConfigurationError("give either 'preset' or 'strategies', not both")
     if "preset" in cfg:
         name = cfg["preset"]
-        return resolve_strategy_preset(name, p.n_blocks), name
+        return {name: resolve_strategy_preset(name, p.n_blocks)}
     if "strategies" in cfg:
         specs = cfg["strategies"]
         if not isinstance(specs, list):
@@ -227,8 +253,8 @@ def build_strategies(cfg: dict, p: Problem) -> tuple[list[BlockStrategy], str]:
                 out.append(BlockStrategy(s.get("kind"), alpha_rule=rule))
             except BamError as e:
                 raise ConfigurationError(f"bad strategies[{i}]: {e}") from e
-        return out, "custom"
-    raise ConfigurationError("config needs 'preset' or 'strategies'")
+        return {"custom": out}
+    raise ConfigurationError("config needs 'preset' or 'strategies' ('presets' for compare)")
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
@@ -281,6 +307,17 @@ def _report_json(p, preset, result, reports) -> dict:
     }
 
 
+def _summary_row(preset, result) -> dict:
+    """One ``compare`` report row."""
+    return {
+        "preset": preset,
+        "status": result.status,
+        "final_phi": result.trace.phi_series()[-1],
+        "sweeps_to_tol": result.sweeps if result.status == "residual-converged" else None,
+        "total_cum_step": result.trace.records[-1].cum_step if result.trace.records else 0.0,
+    }
+
+
 def _write_report(report: dict, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -317,18 +354,21 @@ def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
     return paths
 
 
-def cmd_run(cfg: dict, args) -> int:
-    """``bam run``, and ``bam check``: the pre-run checks, then every check by default."""
+def run_command(cfg: dict, args) -> int:
+    """``bam run``, ``bam check`` and ``bam compare``: every solve and output
+    name is validated before any file is made, and all solves start at x0."""
     p = build_problem(cfg.get("problem"), args.seed)
     names = _check_names(cfg)
-    strategies, preset = build_strategies(cfg, p)
+    solves = build_solves(cfg, p)
     solver_cfg = build_solver_config(cfg)
     x0 = resolve_x0(p, cfg["problem"])
-    validate_strategies(p, strategies, x0)
+    for strategies in solves.values():
+        validate_strategies(p, strategies, x0)
     trace_path, report_path = _out_paths(cfg, args.out_dir)
 
     reports = []
     if args.command == "check":  # check the inputs before the run
+        (strategies,) = solves.values()
         reports.append(diag.gradcheck(p, x0))
         for i, strategy in enumerate(strategies):
             gen, _ = make_generator(strategy, p, x0, i, 0)
@@ -336,83 +376,32 @@ def cmd_run(cfg: dict, args) -> int:
             reports.append(replace(rep, name=f"generator_convexity[{p.block_ids[i]}]"))
         reports += [diag.check_declared_lipschitz(p, x0, i) for i in range(p.n_blocks)]
         names = [n for n in names or CHECK_NAMES if n != "gradcheck"]
-    result = run(p, strategies, solver_cfg, x0)
-    reports += run_checks(names, p, result, x0)
-    write_trace_csv(result.trace, trace_path)
-    _write_report(_report_json(p, preset, result, reports), report_path)
+    results = {label: run(p, strategies, solver_cfg, x0) for label, strategies in solves.items()}
 
-    log.info(
-        "run %s/%s: status=%s sweeps=%d phi=%.12g",
-        p.name,
-        preset,
-        result.status,
-        result.sweeps,
-        result.trace.phi_series()[-1],
-    )
+    if args.command == "compare":
+        texts = [_trace_csv_text(res.trace, preset=label) for label, res in results.items()]
+        with open(trace_path, "w", newline="\n") as fh:
+            fh.write(texts[0] + "".join(text.split("\n", 1)[1] for text in texts[1:]))
+        report = {"problem": p.name,
+                  "summary": [_summary_row(label, res) for label, res in results.items()]}
+    else:
+        ((label, result),) = results.items()
+        reports += run_checks(names, p, result, x0)
+        write_trace_csv(result.trace, trace_path)
+        report = _report_json(p, label, result, reports)
+    _write_report(report, report_path)
+
+    for label, res in results.items():
+        log.info("run %s/%s: status=%s sweeps=%d phi=%.12g",
+                 p.name, label, res.status, res.sweeps, res.trace.phi_series()[-1])
     for r in reports:
         log.info("check %-28s %s (worst=%.3g)", r.name, r.status, r.worst_violation)
     bad = [r.name for r in reports if not r.acceptable]
-    if result.status == "diverged" or bad:
-        log.error("run %s; failing checks: %s", result.status, bad)
+    if any(res.status == "diverged" for res in results.values()) or bad:
+        statuses = ", ".join(f"{label}: {res.status}" for label, res in results.items())
+        log.error("run %s; failing checks: %s", statuses, bad)
         return 2
     return 0
-
-
-def cmd_compare(cfg: dict, args) -> int:
-    presets = cfg.get("presets")
-    if not isinstance(presets, list) or len(presets) < 2:
-        raise ConfigurationError("compare needs a 'presets' list with at least 2 entries")
-    if any(presets.count(name) > 1 for name in presets):
-        raise ConfigurationError(f"compare presets must be distinct, got {presets!r}")
-    p = build_problem(cfg.get("problem"), args.seed)
-    solver_cfg = build_solver_config(cfg)
-    x0 = resolve_x0(p, cfg["problem"])
-    per_preset = {}
-    for name in presets:
-        strategies = resolve_strategy_preset(name, p.n_blocks)
-        validate_strategies(p, strategies, x0)  # all presets validated before any run
-        per_preset[name] = strategies
-    trace_path, report_path = _out_paths(cfg, args.out_dir)
-
-    results = {name: run(p, per_preset[name], solver_cfg, x0) for name in presets}
-
-    chunks = []
-    summary = []
-    for idx, name in enumerate(presets):
-        res = results[name]
-        text = _trace_csv_text(res.trace, preset=name)
-        chunks.append(text if idx == 0 else text.split("\n", 1)[1])
-        summary.append(
-            {
-                "preset": name,
-                "status": res.status,
-                "final_phi": res.trace.phi_series()[-1],
-                "sweeps_to_tol": res.sweeps if res.status == "residual-converged" else None,
-                "total_cum_step": res.trace.records[-1].cum_step if res.trace.records else 0.0,
-            }
-        )
-    with open(trace_path, "w", newline="\n") as fh:
-        fh.write("".join(chunks))
-    _write_report({"problem": p.name, "summary": summary}, report_path)
-    for row in summary:
-        log.info(
-            "%-10s status=%-18s phi=%.12g sweeps=%s",
-            row["preset"],
-            row["status"],
-            row["final_phi"],
-            row["sweeps_to_tol"],
-        )
-    return 0 if all(r.status != "diverged" for r in results.values()) else 2
-
-
-def _setup_logging(quiet: bool) -> None:
-    level_name = os.environ.get("BAM_LOG", "info").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.INFO
-    )
-    if quiet:
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
 def main(argv=None) -> int:
@@ -425,13 +414,11 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override the problem seed")
         sp.add_argument("--quiet", action="store_true", help="only log errors")
     args = parser.parse_args(argv)
-    _setup_logging(args.quiet)
+    logging.basicConfig(level=logging.ERROR if args.quiet else logging.INFO,
+                        format="%(levelname)s %(message)s")
 
     try:
-        cfg = load_config(args.config, args.command)
-        if args.command == "compare":
-            return cmd_compare(cfg, args)
-        return cmd_run(cfg, args)
+        return run_command(load_config(args.config, args.command), args)
     except BamError as e:
         log.error("%s", e)
         return 1

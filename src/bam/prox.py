@@ -45,7 +45,7 @@ def group_norms(v: Array, gid: Array) -> Array:
 
 def soft_threshold(v: Array, tau: float) -> Array:
     """Componentwise shrinkage: minimizes tau*||u||_1 + 0.5*||u - v||^2."""
-    if tau <= 0:
+    if not tau > 0:  # a NaN tau fails too
         raise ParameterError(f"tau must be positive, got {tau}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
@@ -64,7 +64,7 @@ def group_soft_threshold(v: Array, groups: Sequence[Sequence[int]], tau: float) 
 
     A group with ||v_g|| = 0 maps to 0 (removable singularity).
     """
-    if tau <= 0:
+    if not tau > 0:  # a NaN tau fails too
         raise ParameterError(f"tau must be positive, got {tau}")
     return group_shrink(v, validate_groups(groups, np.size(v)), tau)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,40 @@ def test_augmented_generator():
         make_augmented_generator(0.0)
     with pytest.raises(ParameterError):
         make_augmented_generator(-1.0)
+
+
+def _square(u):
+    return float(u @ u)
+
+
+def _square_grad(u):
+    return 2.0 * np.asarray(u)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: make_augmented_generator(math.nan), id="augmented-alpha"),
+        pytest.param(lambda: make_linearization_generator(math.nan, _square, _square_grad, 1.0),
+                     id="linearization-alpha"),
+        pytest.param(lambda: make_linearization_generator(3.0, _square, _square_grad, math.nan),
+                     id="linearization-l-partial"),
+        pytest.param(lambda: BregmanGenerator(_square, _square_grad, modulus_nu=math.nan,
+                                              lipschitz_L=math.nan), id="both-constants"),
+        pytest.param(lambda: BregmanGenerator(_square, _square_grad, modulus_nu=math.nan,
+                                              lipschitz_L=2.0), id="modulus"),
+        pytest.param(lambda: BregmanGenerator(_square, _square_grad, modulus_nu=2.0,
+                                              lipschitz_L=math.nan), id="lipschitz"),
+    ],
+)
+def test_nan_constants_rejected(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
+def test_infinite_lipschitz_allowed():
+    gen = BregmanGenerator(_square, _square_grad, modulus_nu=2.0, lipschitz_L=math.inf)
+    assert gen.lipschitz_L == math.inf
 
 
 class TestLinearizationGenerator:

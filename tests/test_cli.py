@@ -122,6 +122,195 @@ class TestRun:
         assert main(["run", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 0
 
 
+# (mutation of sep_quad_config(), ERROR message) for malformed configs. The
+# shared ones touch only the sections every command reads ("problem", "solver"
+# and "output"), so run, check and compare must all reject them the same way.
+SHARED_MALFORMED = [
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "group_size": 0}}),
+        "group_size 0", id="group-size-0",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group",
+            "parameters": {"n1": 4, "n2": 4, "a_matrix_csv": "absent.csv"}}),
+        "absent.csv", id="missing-csv",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group",
+            "parameters": {"n1": 4, "n2": 3, "groups": [[0, 0, 1], [2]]}}),
+        "index 0 occurs 2 times", id="groups-repeat-index",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group",
+            "parameters": {"n1": 4, "n2": 4, "group_size": 3, "groups": [[0, 1], [2, 3]]}}),
+        "either 'groups' or 'group_size'", id="groups-and-group-size",
+    ),
+    pytest.param(lambda c: c["problem"].update(parameters=[1, 2]),
+                 "problem.parameters must be a JSON object", id="parameters-list"),
+    pytest.param(lambda c: c["problem"].update(name=["separable_quadratic"]),
+                 "unknown problem name", id="name-list"),
+    pytest.param(lambda c: c.pop("problem"), "problem must be a JSON object",
+                 id="no-problem"),
+    pytest.param(lambda c: c.update(solver=[1]), "solver must be a JSON object",
+                 id="solver-list"),
+    pytest.param(lambda c: c.update(output=["trace.csv"]), "output must be a JSON object",
+                 id="output-list"),
+    pytest.param(lambda c: c.update(output={"trace": 5}), "output file names",
+                 id="output-number"),
+    pytest.param(lambda c: c.update(output={"trace": "a.txt", "report": "a.txt"}),
+                 "the trace and report names give the same file", id="output-same-name"),
+    pytest.param(lambda c: c.update(output={"trace": ""}),
+                 "must give a file in an existing directory", id="output-empty-name"),
+    pytest.param(lambda c: c.update(output={"report": "."}),
+                 "must give a file in an existing directory", id="output-directory"),
+    pytest.param(lambda c: c.update(output={"trace": "absent/trace.csv"}),
+                 "must give a file in an existing directory", id="output-missing-directory"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
+                 "bad x0 mapping", id="x0-text"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": [0], "w": [3]}),
+                 "x0 mapping must give exactly the blocks", id="x0-unknown-block"),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 6.5, "n2": 4, "group_size": 2}}),
+        "n1 must be an integer, got 6.5", id="n1-float",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 6, "n2": 4, "group_size": 2.9}}),
+        "group_size must be an integer, got 2.9", id="group-size-float",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "multiblock_quadratic", "parameters": {"n_blocks": 4.9}}),
+        "n_blocks must be an integer, got 4.9", id="n-blocks-float",
+    ),
+    pytest.param(lambda c: c["solver"].update(max_outer_iter=1.5),
+                 "max_outer_iter must be an integer", id="max-outer-iter-float"),
+    pytest.param(lambda c: c["solver"].update(inner_max_iter=0),
+                 "inner_max_iter must be an integer", id="inner-max-iter-0"),
+    pytest.param(lambda c: c["solver"].update(record_every=5),
+                 "unknown field(s) in solver: ['record_every']", id="record-every"),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": True}}),
+        "lambda1 must be a number, got True", id="lambda1-bool",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda2": "0.3"}}),
+        "lambda2 must be a number, got '0.3'", id="lambda2-text",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4}, "seed": True}),
+        "seed must be an integer, got True", id="sparse-group-seed-bool",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "multiblock_quadratic", "parameters": {"n_blocks": 3}, "seed": True}),
+        "seed must be an integer, got True", id="multiblock-seed-bool",
+    ),
+    pytest.param(lambda c: c["solver"].update(residual_tol=True),
+                 "tolerances must be nonnegative numbers", id="residual-tol-bool"),
+    pytest.param(lambda c: c["solver"].update(step_tol=False, inner_tol=True),
+                 "tolerances must be nonnegative numbers", id="step-inner-tol-bool"),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": -math.inf}}),
+        "-Infinity is not allowed", id="lambda1-minus-infinity",
+    ),
+    pytest.param(
+        lambda c: c.update(problem={
+            "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": 10**400}}),
+        "lambda1 must be a number, got 1000", id="lambda1-huge-int",
+    ),
+    pytest.param(lambda c: c["problem"].update(x0={"y": [10**400], "z": [0.0]}),
+                 "bad x0 mapping", id="x0-huge-int"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": [True], "z": ["0.5"]}),
+                 "bad x0 mapping: block 'y' entry 0 must be a number, got True",
+                 id="x0-bool"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": ["0.5"]}),
+                 "bad x0 mapping: block 'z' entry 0 must be a number, got '0.5'",
+                 id="x0-numeric-text"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": [[0.7]], "z": [-2.0]}),
+                 "bad x0 mapping: block 'y' entry 0 must be a number, got [0.7]",
+                 id="x0-nested-list"),
+    pytest.param(lambda c: c["problem"].update(x0={"y": 0.7, "z": [-2.0]}),
+                 "bad x0 mapping: block 'y' must be a list of numbers, got 0.7",
+                 id="x0-bare-number"),
+]
+RUN_MALFORMED = [
+    pytest.param(with_strategies(["exact", "exact"]),
+                 "strategies[0] must be a JSON object", id="strategy-string"),
+    pytest.param(with_strategies([{"alpha_rule": None}, {}]),
+                 "strategies[0].alpha_rule must be a JSON object", id="alpha-rule-null"),
+    pytest.param(with_strategies([{}, {}]), "unknown strategy kind None",
+                 id="strategy-no-kind"),
+    pytest.param(
+        with_strategies([
+            {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": "big"}},
+            {"kind": "exact"},
+        ]),
+        "bad strategies[0].alpha_rule", id="alpha-text",
+    ),
+    pytest.param(lambda c: c.update(presets=["am", "aam"]), "['presets']",
+                 id="presets-outside-compare"),
+    pytest.param(lambda c: c.update(checks="monotone_descent"),
+                 "'checks' must be a list", id="checks-string"),
+    pytest.param(
+        with_strategies([
+            {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": True}},
+            {"kind": "exact"},
+        ]),
+        "bad strategies[0].alpha_rule: value must be a number, got True", id="alpha-bool",
+    ),
+    pytest.param(
+        with_strategies([
+            {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": math.nan}},
+            {"kind": "exact"},
+        ]),
+        "NaN is not allowed", id="alpha-nan",
+    ),
+    pytest.param(
+        with_strategies([
+            {"kind": "linearized",
+             "alpha_rule": {"kind": "lipschitz_factor", "value": math.inf}},
+            {"kind": "exact"},
+        ]),
+        "Infinity is not allowed", id="alpha-infinity",
+    ),
+    pytest.param(
+        with_strategies([
+            {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": 10**400}},
+            {"kind": "exact"},
+        ]),
+        "bad strategies[0].alpha_rule: value must be a number", id="alpha-huge-int",
+    ),
+    pytest.param(
+        with_strategies([
+            {"kind": "exact", "alpha_rule": {"kind": "constant", "value": 5.0}},
+            {"kind": "exact"},
+        ]),
+        "bad strategies[0]: a strategy of kind 'exact' must not have an alpha rule",
+        id="exact-with-alpha-rule",
+    ),
+    pytest.param(
+        with_strategies([{"kind": "exact"}, {"kind": "augmented"}]),
+        "bad strategies[1]: a strategy of kind 'augmented' needs an alpha rule",
+        id="augmented-without-alpha-rule",
+    ),
+    pytest.param(
+        with_strategies([{"kind": "custom"}, {"kind": "exact"}]),
+        "bad strategies[0]: a strategy of kind 'custom' needs a generator factory",
+        id="custom-without-factory",
+    ),
+]
+
+
 class TestConfigRejection:
     @pytest.mark.parametrize(
         "mutate",
@@ -146,189 +335,30 @@ class TestConfigRejection:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
 
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "group_size": 0}}),
-                "group_size 0", id="group-size-0",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group",
-                    "parameters": {"n1": 4, "n2": 4, "a_matrix_csv": "absent.csv"}}),
-                "absent.csv", id="missing-csv",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group",
-                    "parameters": {"n1": 4, "n2": 3, "groups": [[0, 0, 1], [2]]}}),
-                "index 0 occurs 2 times", id="groups-repeat-index",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group",
-                    "parameters": {"n1": 4, "n2": 4, "group_size": 3, "groups": [[0, 1], [2, 3]]}}),
-                "either 'groups' or 'group_size'", id="groups-and-group-size",
-            ),
-            pytest.param(lambda c: c["problem"].update(parameters=[1, 2]),
-                         "problem.parameters must be a JSON object", id="parameters-list"),
-            pytest.param(lambda c: c["problem"].update(name=["separable_quadratic"]),
-                         "unknown problem name", id="name-list"),
-            pytest.param(lambda c: c.pop("problem"), "problem must be a JSON object",
-                         id="no-problem"),
-            pytest.param(lambda c: c.update(solver=[1]), "solver must be a JSON object",
-                         id="solver-list"),
-            pytest.param(lambda c: c.update(output=["trace.csv"]), "output must be a JSON object",
-                         id="output-list"),
-            pytest.param(lambda c: c.update(output={"trace": 5}), "output file names",
-                         id="output-number"),
-            pytest.param(lambda c: c.update(output={"trace": "a.txt", "report": "a.txt"}),
-                         "the trace and report names give the same file", id="output-same-name"),
-            pytest.param(lambda c: c.update(output={"trace": ""}),
-                         "must give a file in an existing directory", id="output-empty-name"),
-            pytest.param(lambda c: c.update(output={"report": "."}),
-                         "must give a file in an existing directory", id="output-directory"),
-            pytest.param(lambda c: c.update(output={"trace": "absent/trace.csv"}),
-                         "must give a file in an existing directory", id="output-missing-directory"),
-            pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
-                         "bad x0 mapping", id="x0-text"),
-            pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": [0], "w": [3]}),
-                         "x0 mapping must give exactly the blocks", id="x0-unknown-block"),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 6.5, "n2": 4, "group_size": 2}}),
-                "n1 must be an integer, got 6.5", id="n1-float",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 6, "n2": 4, "group_size": 2.9}}),
-                "group_size must be an integer, got 2.9", id="group-size-float",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "multiblock_quadratic", "parameters": {"n_blocks": 4.9}}),
-                "n_blocks must be an integer, got 4.9", id="n-blocks-float",
-            ),
-            pytest.param(with_strategies(["exact", "exact"]),
-                         "strategies[0] must be a JSON object", id="strategy-string"),
-            pytest.param(with_strategies([{"alpha_rule": None}, {}]),
-                         "strategies[0].alpha_rule must be a JSON object", id="alpha-rule-null"),
-            pytest.param(with_strategies([{}, {}]), "unknown strategy kind None",
-                         id="strategy-no-kind"),
-            pytest.param(
-                with_strategies([
-                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": "big"}},
-                    {"kind": "exact"},
-                ]),
-                "bad strategies[0].alpha_rule", id="alpha-text",
-            ),
-            pytest.param(lambda c: c.update(presets=["am", "aam"]), "['presets']",
-                         id="presets-outside-compare"),
-            pytest.param(lambda c: c.update(checks="monotone_descent"),
-                         "'checks' must be a list", id="checks-string"),
-            pytest.param(lambda c: c["solver"].update(max_outer_iter=1.5),
-                         "max_outer_iter must be an integer", id="max-outer-iter-float"),
-            pytest.param(lambda c: c["solver"].update(inner_max_iter=0),
-                         "inner_max_iter must be an integer", id="inner-max-iter-0"),
-            pytest.param(lambda c: c["solver"].update(record_every=5),
-                         "unknown field(s) in solver: ['record_every']", id="record-every"),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": True}}),
-                "lambda1 must be a number, got True", id="lambda1-bool",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda2": "0.3"}}),
-                "lambda2 must be a number, got '0.3'", id="lambda2-text",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4}, "seed": True}),
-                "seed must be an integer, got True", id="sparse-group-seed-bool",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "multiblock_quadratic", "parameters": {"n_blocks": 3}, "seed": True}),
-                "seed must be an integer, got True", id="multiblock-seed-bool",
-            ),
-            pytest.param(lambda c: c["solver"].update(residual_tol=True),
-                         "tolerances must be nonnegative numbers", id="residual-tol-bool"),
-            pytest.param(lambda c: c["solver"].update(step_tol=False, inner_tol=True),
-                         "tolerances must be nonnegative numbers", id="step-inner-tol-bool"),
-            pytest.param(
-                with_strategies([
-                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": True}},
-                    {"kind": "exact"},
-                ]),
-                "bad strategies[0].alpha_rule: value must be a number, got True", id="alpha-bool",
-            ),
-            pytest.param(
-                with_strategies([
-                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": math.nan}},
-                    {"kind": "exact"},
-                ]),
-                "NaN is not allowed", id="alpha-nan",
-            ),
-            pytest.param(
-                with_strategies([
-                    {"kind": "linearized",
-                     "alpha_rule": {"kind": "lipschitz_factor", "value": math.inf}},
-                    {"kind": "exact"},
-                ]),
-                "Infinity is not allowed", id="alpha-infinity",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": -math.inf}}),
-                "-Infinity is not allowed", id="lambda1-minus-infinity",
-            ),
-            pytest.param(
-                lambda c: c.update(problem={
-                    "name": "sparse_group", "parameters": {"n1": 4, "n2": 4, "lambda1": 10**400}}),
-                "lambda1 must be a number, got 1000", id="lambda1-huge-int",
-            ),
-            pytest.param(
-                with_strategies([
-                    {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": 10**400}},
-                    {"kind": "exact"},
-                ]),
-                "bad strategies[0].alpha_rule: value must be a number", id="alpha-huge-int",
-            ),
-            pytest.param(lambda c: c["problem"].update(x0={"y": [10**400], "z": [0.0]}),
-                         "bad x0 mapping", id="x0-huge-int"),
-            pytest.param(
-                with_strategies([
-                    {"kind": "exact", "alpha_rule": {"kind": "constant", "value": 5.0}},
-                    {"kind": "exact"},
-                ]),
-                "bad strategies[0]: a strategy of kind 'exact' must not have an alpha rule",
-                id="exact-with-alpha-rule",
-            ),
-            pytest.param(
-                with_strategies([{"kind": "exact"}, {"kind": "augmented"}]),
-                "bad strategies[1]: a strategy of kind 'augmented' needs an alpha rule",
-                id="augmented-without-alpha-rule",
-            ),
-            pytest.param(
-                with_strategies([{"kind": "custom"}, {"kind": "exact"}]),
-                "bad strategies[0]: a strategy of kind 'custom' needs a generator factory",
-                id="custom-without-factory",
-            ),
-        ],
-    )
-    def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):
-        cfg = sep_quad_config()
-        mutate(cfg)
+    @staticmethod
+    def assert_rejected(tmp_path, caplog, cfg, commands, message):
+        """Each command exits 1 with one ERROR line holding ``message`` and writes nothing."""
         cfg_path = write_config(tmp_path, cfg)
-        for command in ("run", "check"):
+        for command in commands:
             caplog.clear()
             assert main([command, cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
             assert [r.levelname for r in caplog.records] == ["ERROR"]
             assert message in caplog.records[0].getMessage()
         assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("mutate, message", SHARED_MALFORMED + RUN_MALFORMED)
+    def test_malformed_configs_exit_1_with_a_message(self, tmp_path, caplog, mutate, message):
+        cfg = sep_quad_config()
+        mutate(cfg)
+        self.assert_rejected(tmp_path, caplog, cfg, ("run", "check"), message)
+
+    @pytest.mark.parametrize("mutate, message", SHARED_MALFORMED)
+    def test_compare_rejects_malformed_shared_sections(self, tmp_path, caplog, mutate, message):
+        cfg = sep_quad_config()
+        del cfg["preset"]
+        cfg["presets"] = ["am", "aam"]
+        mutate(cfg)
+        self.assert_rejected(tmp_path, caplog, cfg, ("compare",), message)
 
     def test_out_dir_naming_a_file_exits_1(self, tmp_path, caplog):
         cfg_path = write_config(tmp_path, sep_quad_config())

@@ -7,6 +7,8 @@ import pytest
 from bam.blockvec import BlockVector
 from bam.bregman import make_augmented_generator, make_zero_generator
 from bam.diagnostics import (
+    CHECKS,
+    SAFETY,
     check_declared_lipschitz,
     check_monotone_descent,
     check_residual_bound,
@@ -162,6 +164,18 @@ class TestResidualBound:
         res = run(sparse_group, resolve_strategy_preset("plam"), cfg, sparse_group.default_x0)
         rep = check_residual_bound(res.trace, l_cross=sparse_group.metadata["cross_lipschitz"])
         assert rep.passed
+
+    def test_estimates_l_cross_without_metadata(self, sep_quad):
+        # with no cross_lipschitz metadata the battery estimates l_cross over every
+        # block pair: SAFETY times the exact cross ratio 2 of H = (y - z)^2
+        metadata = {k: v for k, v in sep_quad.metadata.items() if k != "cross_lipschitz"}
+        p = replace(sep_quad, metadata=metadata)
+        cfg = SolverConfig(max_outer_iter=200, residual_tol=1e-10)
+        res = run(p, resolve_strategy_preset("am"), cfg, p.zeros())
+        assert res.status == "residual-converged"
+        rep = CHECKS["residual_bound"](p, res, p.zeros())
+        assert rep.details["l_cross"] == pytest.approx(SAFETY * 2.0, abs=1e-12)
+        assert rep.status == "pass"
 
     def test_fails_with_too_small_constant(self):
         # l_cross 0 and generator Lipschitz constants 0 give L_hat = 0

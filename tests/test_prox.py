@@ -42,6 +42,8 @@ class TestSoftThreshold:
             soft_threshold(np.array([1.0]), 0.0)
         with pytest.raises(ParameterError):
             soft_threshold(np.array([1.0]), -1.0)
+        with pytest.raises(ParameterError):
+            soft_threshold(np.array([1.0]), math.nan)
 
     @settings(max_examples=50)
     @given(
@@ -102,6 +104,11 @@ class TestGroupSoftThreshold:
             group_soft_threshold(v, [[0, 1.7], [2, 3]], 1.0)  # non-integer index
         with pytest.raises(ParameterError):
             group_soft_threshold(v, [["0", "1"], ["2", "3"]], 1.0)  # text index
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ParameterError):
+            group_soft_threshold(np.array([1.0, 2.0]), [[0], [1]], tau)
 
     def test_validate_groups_returns_index_arrays(self):
         gid = validate_groups([[1, 0], [3], [2, 4]], 5)
