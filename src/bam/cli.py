@@ -43,9 +43,9 @@ Each command accepts only the top-level keys it reads (``COMMAND_KEYS``):
 and to its builder, which owns the defaults. "x0" is "default"
 (problem-specific start), "zeros", or a {block-id: [numbers]} mapping with
 exactly the problem's block ids, each entry a list whose items pass the
-``NUMBER`` test. The output names must give two different files in existing
-directories under ``--out-dir``, checked before the first sweep. ``--seed N``
-overrides problem.seed. ``compare`` runs its presets one after another.
+``NUMBER`` test, at which the objective must be finite. The output names must
+give two different files in existing directories under ``--out-dir``, checked
+before the first sweep. ``--seed N`` overrides problem.seed. ``compare`` runs its presets one after another.
 ``--quiet`` logs errors only.
 """
 
@@ -76,13 +76,14 @@ from .driver import (
     run,
     validate_strategies,
 )
-from .errors import BamError, ConfigurationError
+from .errors import BamError, ConfigurationError, EvaluationError
 from .problem import (
     Problem,
     build_multiblock_quadratic,
     build_separable_quadratic,
     build_separable_quadratic_badgrad,
     build_sparse_group_instance,
+    phi_value,
 )
 
 # Re-exported only because perfbench's tracer patches these names on this module.
@@ -213,7 +214,13 @@ def resolve_x0(p: Problem, section: dict) -> BlockVector:
                     raise ConfigurationError(
                         f"bad x0 mapping: block {bid!r} entry {j} must be {what}, got {v!r}"
                     )
-        return BlockVector([(bid, kind[bid]) for bid in p.block_ids])
+        x0 = BlockVector([(bid, kind[bid]) for bid in p.block_ids])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi_value(p, x0)
+        except EvaluationError as e:
+            raise ConfigurationError(f"bad x0 mapping: the objective is not finite there ({e})") from e
+        return x0
     raise ConfigurationError(f"x0 must be 'default', 'zeros', or a block mapping, got {kind!r}")
 
 

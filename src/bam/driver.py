@@ -21,10 +21,13 @@ never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
 nothing, it ends the run ``stalled`` (see ``run``).
 
 Iteration-dependent generators are rebuilt each step, freezing the newest
-values of the other blocks. ``step_block`` evaluates one update once into a
-``BlockStep``; ``run`` carries H and the f_i between updates and passes the
-corrections c_i, and the last block's grad_n H(x^{k+1}) when its step has it,
-to ``diagnostics.subgradient_residual``.
+values of the other blocks. The inner solver and the linearization generator
+see H as a function of block i's bare array through ``_frozen_partial``: the
+coupling's ``restrict`` when it has one, else closures that build an iterate
+with ``with_block`` at every point. ``step_block`` evaluates one update once
+into a ``BlockStep``; ``run`` carries H and the f_i between updates and
+passes the corrections c_i, and the last block's grad_n H(x^{k+1}) when its
+step has it, to ``diagnostics.subgradient_residual``.
 """
 
 from __future__ import annotations
@@ -233,7 +236,10 @@ def _vec(a) -> np.ndarray:
 
 
 def _frozen_partial(p: Problem, x: BlockVector, i: int):
-    """Value/gradient of H as a function of block i, others frozen at x."""
+    """Value/gradient of H as a function of block i, others frozen at x: the
+    coupling's ``restrict`` when it has one, else closures over ``with_block``."""
+    if p.coupling.restrict is not None:
+        return p.coupling.restrict(x, i)
 
     def h_value(u):
         return p.coupling.value(x.with_block(i, u))

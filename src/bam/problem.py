@@ -43,8 +43,18 @@ class CouplingOracle:
     ``partial_lipschitz(x, i)`` returns a Lipschitz bound for the map
     u -> grad_i H(..., u, ...) with the other blocks frozen at x.
 
-    Oracle results may be shared read-only arrays: callers must not write
-    into them (copy first). The built-in couplings keep their products in
+    ``restrict(x, i)``, optional, returns the pair (value(u), grad(u)) of H
+    and grad_i H as functions of block i's bare 1-D array u, the other blocks
+    frozen at x, so the inner solver builds no iterate per point. It must
+    return the same floats as ``value`` and ``partial_grad`` on
+    ``x.with_block(i, u)`` and do no array work until the pair is called.
+    Without it the engine wraps each point with ``with_block``. Code that
+    replaces ``value`` or ``partial_grad`` on a coupling with a ``restrict``
+    must replace or drop ``restrict`` too, or the engine's inner solves and
+    linearization generators keep the old oracles.
+
+    Oracle results, ``restrict``'s included, may be shared read-only arrays:
+    callers must not write into them (copy first). The built-in couplings keep their products in
     ``_memo``s keyed on the iterate or on one of its block arrays; the
     sparse_group grad_y H is its kept 2 A^T r itself.
     """
@@ -52,6 +62,9 @@ class CouplingOracle:
     value: Callable[[BlockVector], float]
     partial_grad: Callable[[BlockVector, int], Array]
     partial_lipschitz: Callable[[BlockVector, int], float]
+    restrict: Optional[
+        Callable[[BlockVector, int], tuple[Callable[[Array], float], Callable[[Array], Array]]]
+    ] = None
 
 
 @dataclass(frozen=True)
@@ -247,10 +260,33 @@ def build_sparse_group_instance(
     def h_grad(x: BlockVector, i: int) -> Array:
         return grad_y(x) if i == 0 else -2.0 * residual(x)
 
+    # the same float operations as h_value and h_grad on x.with_block(i, u)
+    def restrict(x: BlockVector, i: int):
+        if i == 0:
+            z = x.block(1)
+
+            def value(u: Array) -> float:
+                r = A @ u - z
+                return float(r @ r)
+
+            def grad(u: Array) -> Array:
+                return 2.0 * (A.T @ (A @ u - z))
+        else:
+            y = x.block(0)
+
+            def value(u: Array) -> float:
+                r = a_times(y) - u
+                return float(r @ r)
+
+            def grad(u: Array) -> Array:
+                return -2.0 * (a_times(y) - u)
+        return value, grad
+
     coupling = CouplingOracle(
         value=h_value,
         partial_grad=h_grad,
         partial_lipschitz=lambda x, i: L1 if i == 0 else L2,
+        restrict=restrict,
     )
 
     def z_exact(x: BlockVector, i: int, alpha: float) -> Array:

@@ -360,6 +360,26 @@ class TestConfigRejection:
         mutate(cfg)
         self.assert_rejected(tmp_path, caplog, cfg, ("compare",), message)
 
+    def test_overflowing_x0_is_rejected_before_any_output(self, tmp_path, caplog, recwarn):
+        """Finite entries at which (y - z)^2 overflows: the objective at x0 is
+        evaluated with numpy's overflow warnings off, and each command logs
+        one ERROR, warns nothing and makes no out-dir."""
+        overflowing = {"y": [1e308], "z": [-1e308]}
+        cfg = sep_quad_config()
+        cfg["problem"]["x0"] = overflowing
+        compare_cfg = sep_quad_config(presets=["am", "aam"])
+        del compare_cfg["preset"]
+        compare_cfg["problem"]["x0"] = overflowing
+        out = tmp_path / "out"
+        for command, c in (("run", cfg), ("check", cfg), ("compare", compare_cfg)):
+            caplog.clear()
+            cfg_path = write_config(tmp_path, c, f"{command}.json")
+            assert main([command, cfg_path, "--out-dir", str(out), "--quiet"]) == 1
+            assert [r.levelname for r in caplog.records] == ["ERROR"]
+            assert "bad x0 mapping: the objective is not finite" in caplog.records[0].getMessage()
+        assert not out.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
     def test_out_dir_naming_a_file_exits_1(self, tmp_path, caplog):
         cfg_path = write_config(tmp_path, sep_quad_config())
         taken = tmp_path / "taken"

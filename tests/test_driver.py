@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import bam.driver as driver
 from bam.blockvec import BlockVector, norm_sq
 from bam.bregman import BregmanGenerator, bregman_distance, make_augmented_generator
 from bam.diagnostics import subgradient_residual
@@ -465,7 +464,9 @@ def test_non_finite_gradient_ends_run_diverged(sep_quad):
 
 
 def counting_problem(p):
-    """A copy of ``p`` whose H value and partial gradient count their calls."""
+    """A copy of ``p`` whose H value and partial gradient count their calls.
+    Its ``restrict`` is forwarded uncounted, so the inner solver takes the
+    path the engine runs on ``p``."""
     counts = Counter()
 
     def counted(name, fn):
@@ -480,6 +481,7 @@ def counting_problem(p):
         value=counted("h_value", c.value),
         partial_grad=counted("partial_grad", c.partial_grad),
         partial_lipschitz=c.partial_lipschitz,
+        restrict=c.restrict,
     )
     return replace(p, coupling=coupling), counts
 
@@ -487,44 +489,67 @@ def counting_problem(p):
 class TestOnePassCost:
     """Each block update evaluates H once; the residual adds one gradient per block."""
 
-    @staticmethod
-    def steady_sweeps(p, preset, monkeypatch):
-        """Oracle calls per sweep after the first, leaving out the inner solver's own."""
+    CFG = SolverConfig(max_outer_iter=4, residual_tol=0.0, step_tol=0.0, inner_max_iter=20)
+
+    @classmethod
+    def steady_sweeps(cls, p, preset):
+        """Oracle calls per sweep after the first. The inner solver's calls go
+        through the forwarded ``restrict``, so they are not counted."""
         wrapped, counts = counting_problem(p)
-        inner_calls = Counter()
-        inner = driver.inner_exact_min
-
-        def counted_inner(*args, **kwargs):
-            before = counts.copy()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                inner_calls.update(counts - before)
-
-        monkeypatch.setattr(driver, "inner_exact_min", counted_inner)
         seen = []
-        cfg = SolverConfig(max_outer_iter=4, residual_tol=0.0, step_tol=0.0, inner_max_iter=20)
-        run(wrapped, resolve_strategy_preset(preset), cfg, wrapped.default_x0,
-            callback=lambda k, x: seen.append(counts - inner_calls))
+        run(wrapped, resolve_strategy_preset(preset), cls.CFG, wrapped.default_x0,
+            callback=lambda k, x: seen.append(counts.copy()))
         return [b - a for a, b in zip(seen, seen[1:])]
 
-    def test_plam_sweep(self, sparse_group, monkeypatch):
-        sweeps = self.steady_sweeps(sparse_group, "plam", monkeypatch)
+    def test_plam_sweep(self, sparse_group):
+        sweeps = self.steady_sweeps(sparse_group, "plam")
         assert len(sweeps) == 3
         for c in sweeps:
             assert c["h_value"] <= 2 and c["partial_grad"] <= 4, c
 
-    def test_am_sweep_outside_the_inner_solver(self, sparse_group, monkeypatch):
-        sweeps = self.steady_sweeps(sparse_group, "am", monkeypatch)
+    def test_am_sweep_outside_the_inner_solver(self, sparse_group):
+        sweeps = self.steady_sweeps(sparse_group, "am")
         assert len(sweeps) == 3
         for c in sweeps:
             assert c["h_value"] <= 2 and c["partial_grad"] <= 4, c
 
-    def test_am_reuses_the_last_blocks_gradient(self, sparse_group, monkeypatch):
+    def test_am_reuses_the_last_blocks_gradient(self, sparse_group):
         """The exact z step's grad_z H(x^{k+1}) is the residual's last gradient:
         one partial gradient per block in the steps, one for y in the residual."""
-        sweeps = self.steady_sweeps(sparse_group, "am", monkeypatch)
+        sweeps = self.steady_sweeps(sparse_group, "am")
         assert [c["partial_grad"] for c in sweeps] == [3, 3, 3]
+
+    def test_am_inner_solver_builds_no_iterate(self, sparse_group, monkeypatch):
+        """The inner solver evaluates H on block y's bare array: a steady am
+        sweep calls ``with_block`` once per block step, not per inner iteration."""
+        calls = []
+        with_block = BlockVector.with_block
+
+        def counted(x, i, arr):
+            calls.append(i)
+            return with_block(x, i, arr)
+
+        monkeypatch.setattr(BlockVector, "with_block", counted)
+        seen = []
+        res = run(sparse_group, resolve_strategy_preset("am"), self.CFG, sparse_group.default_x0,
+                  callback=lambda k, x: seen.append(len(calls)))
+        assert [r.inner_flags[0] for r in res.trace.records] == ["hit-cap"] * 4  # 20 iterations each
+        assert np.diff(seen).tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("preset", ["am", "aam", "am-plam"])
+def test_restricted_oracles_give_the_generic_paths_sweeps(sparse_group, preset):
+    """sparse_group's ``restrict`` and the ``with_block`` closures give the same
+    sweeps, float for float."""
+    generic = replace(sparse_group, coupling=replace(sparse_group.coupling, restrict=None))
+    cfg = SolverConfig(max_outer_iter=8, residual_tol=0.0, step_tol=0.0, inner_max_iter=300)
+    strategies = resolve_strategy_preset(preset)
+    res = run(sparse_group, strategies, cfg, sparse_group.default_x0)
+    ref = run(generic, strategies, cfg, sparse_group.default_x0)
+    assert res.trace.phi0 == ref.trace.phi0
+    assert res.trace.records == ref.trace.records
+    assert res.status == ref.status
+    assert np.array_equal(res.final_x.to_flat(), ref.final_x.to_flat())
 
 
 def log_cosh_generator(a, dim):

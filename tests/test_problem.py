@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bam.blockvec import BlockVector
 from bam.driver import SolverConfig, resolve_strategy_preset, run
@@ -22,6 +23,12 @@ from bam.problem import (
 from bam.prox import group_shrink, validate_groups
 
 from conftest import GROUPS_8x5, make_underdeclared_problem
+
+
+SUPPLIED_A_INSTANCE = build_sparse_group_instance(
+    6, 9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+    a_matrix=np.random.default_rng(3).standard_normal((9, 6)),
+)
 
 
 def fd_partial(p, x, i, j, h=1e-6):
@@ -202,6 +209,23 @@ class TestSparseGroup:
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["generated", "supplied"]), st.integers(0, 1),
+           st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_restrict_equals_the_generic_oracles(self, sparse_group, which, i, seed, scale):
+        """H and grad_i H on block i's bare array are the floats the iterate
+        oracles give on x.with_block(i, u), for the 50x40 seeded A (n2 < n1)
+        and a supplied 9x6 A (n2 > n1)."""
+        p = sparse_group if which == "generated" else SUPPLIED_A_INSTANCE
+        rng = np.random.default_rng(seed)
+        x = BlockVector([(bid, scale * rng.standard_normal(d))
+                         for bid, d in zip(p.block_ids, p.block_dims)])
+        u = scale * rng.standard_normal(p.block_dims[i])
+        value, grad = p.coupling.restrict(x, i)
+        xu = x.with_block(i, u)
+        assert value(u) == p.coupling.value(xu)
+        assert np.array_equal(grad(u), p.coupling.partial_grad(xu, i))
 
     def test_matrix_roundtrip(self, tmp_path, sparse_group):
         path = tmp_path / "A.csv"
