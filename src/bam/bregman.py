@@ -13,11 +13,12 @@ classical block-update rules:
 * linearization generator -> the linearized/prox-gradient block update,
   obtained from phi(x) = (alpha/2)||x||^2 - H(x, frozen other blocks).
 
-Constants are declared by the factories, not inferred; use
-``diagnostics.check_generator_convexity`` (also ``bam.check_generator_convexity``)
-to validate a declaration empirically. It returns a ``CheckReport`` whose
-``details`` hold the generator's label, the smallest observed curvature ratio
-and the declared modulus.
+Constants are declared by the factories, not inferred. ``driver.step_block``
+uses the three built-in factories' (modulus_nu, lipschitz_L) without building
+a generator, and a test pins them equal. ``diagnostics.check_generator_convexity``
+(also ``bam.check_generator_convexity``) validates a declaration empirically;
+its ``CheckReport.details`` hold the label, the smallest observed curvature
+ratio and the declared modulus.
 """
 
 from __future__ import annotations

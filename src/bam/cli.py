@@ -45,7 +45,8 @@ and to its builder, which owns the defaults. "x0" is "default"
 exactly the problem's block ids, each entry a list whose items pass the
 ``NUMBER`` test, at which the objective must be finite. The output names must
 give two different files in existing directories under ``--out-dir``, checked
-before the first sweep. ``--seed N`` overrides problem.seed. ``compare`` runs its presets one after another.
+before ``--out-dir`` is made. The "checks" names must be distinct. ``--seed N``
+overrides problem.seed. ``compare`` runs its presets one after another.
 ``--quiet`` logs errors only.
 """
 
@@ -333,31 +334,39 @@ def _write_report(report: dict, path: Path) -> None:
 
 def _check_names(cfg: dict) -> list:
     names = cfg.get("checks", [])
-    if not isinstance(names, list) or not all(n in CHECK_NAMES for n in names):
+    if not isinstance(names, list) or any(n not in CHECK_NAMES or names.count(n) > 1 for n in names):
         raise ConfigurationError(
-            f"'checks' must be a list of names from {CHECK_NAMES}, got {names!r}"
+            f"'checks' must be a list of distinct names from {CHECK_NAMES}, got {names!r}"
         )
     return names
 
 
 def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
-    """The trace and report paths: two different files in ``out_dir``, which is created."""
+    """The trace and report paths: two different files in ``out_dir``, made once they pass."""
     section = _require_keys(cfg.get("output", {}), {"trace", "report"}, "output")
     names = section.get("trace", "trace.csv"), section.get("report", "report.json")
     if not all(isinstance(n, str) for n in names):
         raise ConfigurationError(f"output file names must be strings, got {names!r}")
     base = Path(out_dir)
+    paths = base / names[0], base / names[1]
+    if paths[0].resolve() == paths[1].resolve():
+        raise ConfigurationError(f"the trace and report names give the same file, got {names!r}")
+    made = {base.resolve(), *base.resolve().parents}
+
+    def is_dir(path):  # once ``mkdir`` has made out_dir and its parents
+        return path.is_dir() or path.resolve() in made
+
+    # the system follows a ".." only from a directory; ``resolve`` drops any
+    ups = [base.joinpath(*parts[:j]) for parts in (Path(n).parts for n in names)
+           for j, part in enumerate(parts) if part == ".."]
+    if any(is_dir(path) or not is_dir(path.parent) for path in paths) or not all(map(is_dir, ups)):
+        raise ConfigurationError(
+            f"each output name must give a file in an existing directory, got {names!r}"
+        )
     try:
         base.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigurationError(f"cannot use --out-dir {out_dir!r} as a directory: {e}") from e
-    paths = base / names[0], base / names[1]
-    if paths[0].resolve() == paths[1].resolve():
-        raise ConfigurationError(f"the trace and report names give the same file, got {names!r}")
-    if any(path.is_dir() or not path.parent.is_dir() for path in paths):
-        raise ConfigurationError(
-            f"each output name must give a file in an existing directory, got {names!r}"
-        )
     return paths
 
 
@@ -378,8 +387,7 @@ def run_command(cfg: dict, args) -> int:
         (strategies,) = solves.values()
         reports.append(diag.gradcheck(p, x0))
         for i, strategy in enumerate(strategies):
-            gen, _ = make_generator(strategy, p, x0, i, 0)
-            rep = check_generator_convexity(gen, p.block_dims[i])
+            rep = check_generator_convexity(make_generator(strategy, p, x0, i, 0), p.block_dims[i])
             reports.append(replace(rep, name=f"generator_convexity[{p.block_ids[i]}]"))
         reports += [diag.check_declared_lipschitz(p, x0, i) for i in range(p.n_blocks)]
         names = [n for n in names or CHECK_NAMES if n != "gradcheck"]

@@ -20,14 +20,15 @@ never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
 ``ascent-rejected`` block stops ``run`` on neither tolerance; if it moved
 nothing, it ends the run ``stalled`` (see ``run``).
 
-Iteration-dependent generators are rebuilt each step, freezing the newest
-values of the other blocks. The inner solver and the linearization generator
-see H as a function of block i's bare array through ``_frozen_partial``: the
-coupling's ``restrict`` when it has one, else closures that build an iterate
-with ``with_block`` at every point. ``step_block`` evaluates one update once
-into a ``BlockStep``; ``run`` carries H and the f_i between updates and
-passes the corrections c_i, and the last block's grad_n H(x^{k+1}) when its
-step has it, to ``diagnostics.subgradient_residual``.
+A built-in step reads its weight alpha_k and its generator's (nu, L) directly;
+they are the constants the ``bregman`` factories declare, and a test pins them
+equal. Only a Custom step builds a generator, by ``make_generator``, which
+``bam check`` also calls. The inner solver and a linearization generator see H
+as a function of block i's bare array through ``_frozen_partial``: the
+coupling's ``restrict``, else ``with_block`` closures. ``step_block`` evaluates
+one update once into a ``BlockStep``; ``run`` carries H and the f_i between
+updates and passes the corrections c_i, and the last block's grad_n H(x^{k+1})
+when its step has it, to ``diagnostics.subgradient_residual``.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ class AlphaRule:
             raise ParameterError(f"alpha rule value must be a positive number, got {self.value!r}")
 
     def resolve(self, lipschitz: float) -> float:
-        if self.kind == "constant":
-            return self.value
-        return self.value * lipschitz
+        return self.value if self.kind == "constant" else self.value * lipschitz
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,7 @@ def resolve_strategy_preset(name: str, n_blocks: int = 2) -> list[BlockStrategy]
 def validate_strategies(p: Problem, strategies: Sequence[BlockStrategy], x0: BlockVector) -> None:
     """Fail fast on strategy/oracle mismatches before any sweep runs."""
     if len(strategies) != p.n_blocks:
-        raise ConfigurationError(
-            f"{len(strategies)} strategies for {p.n_blocks} blocks"
-        )
+        raise ConfigurationError(f"{len(strategies)} strategies for {p.n_blocks} blocks")
     for i, s in enumerate(strategies):
         term = p.terms[i]
         if term.prox is None:
@@ -256,7 +253,7 @@ def _resolve_alpha(strategy: BlockStrategy, p: Problem, x: BlockVector, i: int) 
     L_i = float(p.coupling.partial_lipschitz(x, i))
     alpha = strategy.alpha_rule.resolve(L_i)
     floor = L_i if strategy.kind == "linearized" else 0.0
-    if not alpha > floor:
+    if not alpha > floor >= 0.0:  # a negative or NaN L_i fails too
         raise ConfigurationError(
             f"block {p.block_ids[i]!r}: {strategy.kind} alpha_k = {alpha:g} must exceed "
             f"{floor:g} (partial Lipschitz constant L_i = {L_i:g}; generator convexity requirement)"
@@ -266,73 +263,53 @@ def _resolve_alpha(strategy: BlockStrategy, p: Problem, x: BlockVector, i: int) 
 
 def make_generator(
     strategy: BlockStrategy, p: Problem, x: BlockVector, i: int, k: int
-) -> tuple[BregmanGenerator, Optional[float]]:
-    """Block i's generator at sweep k, with the other blocks frozen at ``x``.
-
-    Returns the generator and its quadratic weight: 0 for Exact, alpha_k for
-    Augmented and Linearized, None for Custom (a general generator that only
-    the inner solver can handle).
-    """
+) -> BregmanGenerator:
+    """Block i's generator at sweep k, with the other blocks frozen at ``x``."""
     if strategy.kind == "exact":
-        return make_zero_generator(), 0.0
+        return make_zero_generator()
     if strategy.kind == "custom":
-        return strategy.generator_factory(k, x, i), None
+        return strategy.generator_factory(k, x, i)
     alpha, L_i = _resolve_alpha(strategy, p, x, i)
     if strategy.kind == "augmented":
-        return make_augmented_generator(alpha), alpha
-    h_value, h_grad = _frozen_partial(p, x, i)
-    return make_linearization_generator(alpha, h_value, h_grad, L_i), alpha
+        return make_augmented_generator(alpha)
+    return make_linearization_generator(alpha, *_frozen_partial(p, x, i), L_i)
 
 
-def _solve_with_generator(
-    p: Problem, x: BlockVector, i: int, gen: BregmanGenerator, weight: Optional[float], cfg: SolverConfig
-) -> tuple[np.ndarray, str]:
-    """Block i's subproblem by ``inner_exact_min``. With ``make_generator``'s
-    ``weight`` the inner gradient is grad_i H(u) + weight*(u - anchor) (grad_i H
-    alone for Exact); None calls the generator's gradient each inner iteration."""
-    term = p.terms[i]
+def _smooth_part(
+    p: Problem, x: BlockVector, i: int, weight: Optional[float], gen: Optional[BregmanGenerator]
+):
+    """Value and gradient of u -> H(u) + B_phi(u, x_i^k), the other blocks frozen
+    at x, for ``inner_exact_min``: B_gen for a Custom ``gen``, else
+    (weight/2)||u - x_i^k||^2, whose gradient term an Exact step (weight 0) skips."""
     anchor = x.block(i)
-    if not math.isfinite(gen.lipschitz_L):
-        raise ConfigurationError(
-            f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
-        )
-
     h_value, h_grad = _frozen_partial(p, x, i)
-
-    def smooth_value(u):
-        return float(h_value(u)) + bregman_distance(gen, u, anchor)
-
-    # grad_i H(u) + grad phi(u) - grad phi(anchor), one call per inner iteration
-    if weight is None:
+    if gen is not None:
         g_anchor = _vec(gen.gradient(anchor))
+        return (lambda u: float(h_value(u)) + bregman_distance(gen, u, anchor),
+                lambda u: _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor)
 
-        def smooth_grad(u):
-            return _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor
-    elif weight == 0.0:  # Exact: the zero generator adds nothing
-        smooth_grad = h_grad
-    else:  # Augmented: phi = (weight/2)||u||^2, no generator calls needed
-        def smooth_grad(u):
-            return h_grad(u) + weight * (u - anchor)
+    def value(u):
+        return float(h_value(u)) + 0.5 * weight * float((u - anchor) @ (u - anchor))
 
-    L_sub = float(p.coupling.partial_lipschitz(x, i)) + gen.lipschitz_L
-    return inner_exact_min(smooth_value, smooth_grad, L_sub, term.value, term.prox, anchor,
-                           cfg.inner_tol, cfg.inner_max_iter)
+    return value, h_grad if weight == 0.0 else lambda u: h_grad(u) + weight * (u - anchor)
 
 
 class BlockStep(NamedTuple):
     """Block i's update and the quantities the sweep records about it.
 
     ``x`` is the iterate after the update (the input iterate when the step was
-    rejected), ``h`` = H(x), ``f`` = f_i(x_i), ``bregman`` = B_phi(x_i^{k+1}, x_i^k),
-    ``step_sq`` = ||x_i^{k+1} - x_i^k||^2, and ``correction`` is
-    c_i = grad phi(x_i^k) - grad phi(x_i^{k+1}) - grad_i H(x), the term that
-    ``diagnostics.subgradient_residual`` adds to grad_i H(x^{k+1}). ``grad`` is
-    grad_i H(x) when the step evaluated it there (every kind but Linearized,
-    whose gradient is taken before the update), else None.
+    rejected), ``nu``, ``lip`` the modulus and Lipschitz bound of phi, ``h`` =
+    H(x), ``f`` = f_i(x_i), ``bregman`` = B_phi(x_i^{k+1}, x_i^k), ``step_sq`` =
+    ||x_i^{k+1} - x_i^k||^2, and ``correction`` is c_i = grad phi(x_i^k) -
+    grad phi(x_i^{k+1}) - grad_i H(x), which ``diagnostics.subgradient_residual``
+    adds to grad_i H(x^{k+1}). ``grad`` is grad_i H(x) when the step evaluated
+    it there (every kind but Linearized, whose gradient is taken before the
+    update), else None.
     """
 
     x: BlockVector
-    gen: BregmanGenerator
+    nu: float
+    lip: float
     flag: str
     h: float
     f: float
@@ -354,7 +331,15 @@ def step_block(
     """
     anchor = x.block(i)
     term = p.terms[i]
-    gen, weight = make_generator(strategy, p, x, i, k)
+    gen = L_i = None
+    if strategy.kind == "custom":
+        gen = make_generator(strategy, p, x, i, k)
+        weight, nu, lip = None, gen.modulus_nu, gen.lipschitz_L
+    else:  # phi = (weight/2)||u||^2, minus the frozen H when Linearized: its factory's (nu, L)
+        weight, L_i = (0.0, None) if strategy.kind == "exact" else _resolve_alpha(strategy, p, x, i)
+        shift = L_i if strategy.kind == "linearized" else 0.0
+        nu, lip = weight - shift, weight + shift
+
     if strategy.kind == "linearized":
         # the linearization generator turns the subproblem into one prox-gradient step
         g = _vec(p.coupling.partial_grad(x, i))
@@ -362,7 +347,13 @@ def step_block(
     elif weight is not None and term.exact_coupled_min is not None:
         new, flag = _vec(term.exact_coupled_min(x, i, weight)), "ok"
     else:
-        new, flag = _solve_with_generator(p, x, i, gen, weight, cfg)
+        if not math.isfinite(lip):
+            raise ConfigurationError(
+                f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
+            )
+        L_i = float(p.coupling.partial_lipschitz(x, i)) if L_i is None else L_i
+        new, flag = inner_exact_min(*_smooth_part(p, x, i, weight, gen), L_i + lip, term.value,
+                                    term.prox, anchor, cfg.inner_tol, cfg.inner_max_iter)
 
     x_new = x.with_block(i, new)
     h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
@@ -393,7 +384,7 @@ def step_block(
         c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new)) - g
     else:
         c = -weight * d - g
-    return BlockStep(x_new, gen, flag, h_new, f_new, bregman, float(d @ d), c, g_new)
+    return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, float(d @ d), c, g_new)
 
 
 def run(
@@ -462,8 +453,8 @@ def run(
                 residual=res_norm,
                 cum_step=cum_step,
                 inner_flags=tuple(s.flag for s in steps),
-                nu_blocks=tuple(s.gen.modulus_nu for s in steps),
-                lip_blocks=tuple(s.gen.lipschitz_L for s in steps),
+                nu_blocks=tuple(s.nu for s in steps),
+                lip_blocks=tuple(s.lip for s in steps),
             )
         )
         if callback is not None:

@@ -169,6 +169,8 @@ SHARED_MALFORMED = [
                  "must give a file in an existing directory", id="output-directory"),
     pytest.param(lambda c: c.update(output={"trace": "absent/trace.csv"}),
                  "must give a file in an existing directory", id="output-missing-directory"),
+    pytest.param(lambda c: c.update(output={"trace": "absent/../trace.csv"}),
+                 "must give a file in an existing directory", id="output-up-from-missing-directory"),
     pytest.param(lambda c: c["problem"].update(x0={"y": ["a"], "z": [0.0]}),
                  "bad x0 mapping", id="x0-text"),
     pytest.param(lambda c: c["problem"].update(x0={"y": [0.5], "z": [0], "w": [3]}),
@@ -261,6 +263,8 @@ RUN_MALFORMED = [
                  id="presets-outside-compare"),
     pytest.param(lambda c: c.update(checks="monotone_descent"),
                  "'checks' must be a list", id="checks-string"),
+    pytest.param(lambda c: c.update(checks=["monotone_descent", "monotone_descent"]),
+                 "'checks' must be a list of distinct names", id="checks-repeated"),
     pytest.param(
         with_strategies([
             {"kind": "augmented", "alpha_rule": {"kind": "constant", "value": True}},
@@ -359,6 +363,25 @@ class TestConfigRejection:
         cfg["presets"] = ["am", "aam"]
         mutate(cfg)
         self.assert_rejected(tmp_path, caplog, cfg, ("compare",), message)
+
+    @pytest.mark.parametrize(
+        "mutate, message", [p for p in SHARED_MALFORMED if p.id.startswith("output-")]
+    )
+    def test_rejected_output_names_make_no_out_dir(self, tmp_path, caplog, mutate, message):
+        """With an --out-dir that does not exist yet, each command rejects the
+        names before it makes the directory or any of its parents."""
+        out = tmp_path / "fresh" / "out"
+        for command, cfg in (("run", sep_quad_config()), ("check", sep_quad_config()),
+                             ("compare", sep_quad_config(presets=["am", "aam"]))):
+            if command == "compare":
+                del cfg["preset"]
+            mutate(cfg)
+            caplog.clear()
+            cfg_path = write_config(tmp_path, cfg, f"{command}.json")
+            assert main([command, cfg_path, "--out-dir", str(out), "--quiet"]) == 1
+            assert [r.levelname for r in caplog.records] == ["ERROR"]
+            assert message in caplog.records[0].getMessage()
+            assert not (tmp_path / "fresh").exists()
 
     def test_overflowing_x0_is_rejected_before_any_output(self, tmp_path, caplog, recwarn):
         """Finite entries at which (y - z)^2 overflows: the objective at x0 is

@@ -8,10 +8,13 @@ import pytest
 from bam.blockvec import BlockVector, norm_sq
 from bam.bregman import BregmanGenerator, bregman_distance, make_augmented_generator
 from bam.diagnostics import subgradient_residual
+import bam.driver as driver
 from bam.driver import (
+    PRESET_NAMES,
     AlphaRule,
     BlockStrategy,
     SolverConfig,
+    make_generator,
     resolve_strategy_preset,
     run,
     step_block,
@@ -61,7 +64,7 @@ class TestStepBlock:
         cfg = SolverConfig()
         s = step(sep_quad, sep_quad.zeros(), 0, BlockStrategy("exact"), cfg)
         assert s.x.block(0)[0] == pytest.approx(0.5, abs=1e-14)
-        assert s.gen.label == "zero"
+        assert (s.nu, s.lip) == (0.0, 0.0)
         assert s.flag == "ok"
 
     def test_linearized_step_matches_grid_oracle(self, sep_quad):
@@ -91,7 +94,7 @@ class TestStepBlock:
         strat = BlockStrategy("augmented", AlphaRule("constant", 2.0))
         s = step(sep_quad, sep_quad.zeros(), 0, strat, cfg)
         assert s.x.block(0)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert s.gen.modulus_nu == pytest.approx(2.0)
+        assert (s.nu, s.lip) == (2.0, 2.0)
 
     def test_linearized_rejects_alpha_at_or_below_lipschitz(self, sep_quad):
         cfg = SolverConfig()
@@ -184,6 +187,14 @@ class TestValidation:
         p = replace(sep_quad, coupling=replace(sep_quad.coupling, partial_lipschitz=lambda x, i: 0.0))
         strat = BlockStrategy("augmented", AlphaRule("lipschitz_factor", 1.0))
         with pytest.raises(ConfigurationError, match="augmented alpha_k = 0 must exceed 0"):
+            validate_strategies(p, [strat, strat], p.zeros())
+
+    def test_linearized_needs_a_nonnegative_lipschitz_constant(self, sep_quad):
+        # with L_i < 0 the step's (nu, L) = (alpha - L_i, alpha + L_i) would
+        # declare nu > L, which no linearization generator can have
+        p = replace(sep_quad, coupling=replace(sep_quad.coupling, partial_lipschitz=lambda x, i: -1.0))
+        strat = BlockStrategy("linearized", AlphaRule("constant", 2.0))
+        with pytest.raises(ConfigurationError, match="L_i = -1"):
             validate_strategies(p, [strat, strat], p.zeros())
 
     @pytest.mark.parametrize(
@@ -576,9 +587,11 @@ SHORTCUT_STRATEGIES = {
 @pytest.mark.parametrize("kind", list(SHORTCUT_STRATEGIES))
 @pytest.mark.parametrize("problem", ["sep_quad", "multiblock", "sparse_group"])
 def test_block_step_shortcuts_equal_definitions(request, problem, kind):
-    """The closed-form Bregman cost and residual correction agree with B_phi and
-    the mixed-point residual built from the generator's gradient."""
+    """The step's (nu, lip), closed-form Bregman cost and residual correction
+    agree with the generator ``make_generator`` builds at the pre-step iterate:
+    its declared constants, B_phi and the mixed-point residual from its gradient."""
     p = request.getfixturevalue(problem)
+    strategy = SHORTCUT_STRATEGIES[kind]
     cfg = SolverConfig(inner_max_iter=50)
     x = p.default_x0
     h, fs = p.coupling.value(x), [t.value(x.block(i)) for i, t in enumerate(p.terms)]
@@ -586,17 +599,55 @@ def test_block_step_shortcuts_equal_definitions(request, problem, kind):
         x_prev, gens, corrections = x, [], []
         for i in range(p.n_blocks):
             anchor = x.block(i)
-            s = step_block(p, x, i, SHORTCUT_STRATEGIES[kind], k, cfg, h, fs[i])
+            gen = make_generator(strategy, p, x, i, k)
+            s = step_block(p, x, i, strategy, k, cfg, h, fs[i])
             x, h, fs[i] = s.x, s.h, s.f
             tol = 1e-12 * (1.0 + abs(phi_value(p, x)))
             assert s.flag != "ascent-rejected"
-            assert s.bregman == pytest.approx(bregman_distance(s.gen, x.block(i), anchor), abs=tol)
+            assert (s.nu, s.lip) == (gen.modulus_nu, gen.lipschitz_L)
+            assert s.bregman == pytest.approx(bregman_distance(gen, x.block(i), anchor), abs=tol)
             assert s.h == p.coupling.value(x) and s.f == p.terms[i].value(x.block(i))
             assert s.step_sq == pytest.approx(float((x.block(i) - anchor) @ (x.block(i) - anchor)))
-            gens.append(s.gen)
+            gens.append(gen)
             corrections.append(s.correction)
         engine, _ = subgradient_residual(p, x, corrections, last_grad=s.grad)
         reference, _ = subgradient_residual(p, x, mixed_point_corrections(p, x_prev, x, gens))
         np.testing.assert_allclose(
             np.concatenate(engine), np.concatenate(reference), rtol=0.0, atol=tol
         )
+
+
+def _raise_on_call(*args, **kwargs):
+    raise AssertionError("a built-in block step built a Bregman generator")
+
+
+@pytest.mark.parametrize("problem", ["sep_quad", "multiblock", "sparse_group"])
+def test_built_in_presets_build_no_generator(request, monkeypatch, problem):
+    """Every preset runs to the same records with the generator factories
+    replaced by ones that raise: a built-in step reads its constants directly."""
+    p = request.getfixturevalue(problem)
+    cfg = SolverConfig(max_outer_iter=6, residual_tol=0.0, step_tol=0.0, inner_max_iter=50)
+    refs = {name: run(p, resolve_strategy_preset(name, p.n_blocks), cfg, p.default_x0)
+            for name in PRESET_NAMES}
+    for factory in ("make_zero_generator", "make_augmented_generator",
+                    "make_linearization_generator"):
+        monkeypatch.setattr(driver, factory, _raise_on_call)
+    for name, ref in refs.items():
+        res = run(p, resolve_strategy_preset(name, p.n_blocks), cfg, p.default_x0)
+        assert res.trace.records == ref.trace.records
+        assert res.status == ref.status
+        assert np.array_equal(res.final_x.to_flat(), ref.final_x.to_flat())
+
+
+def test_custom_factory_is_called_once_per_step(sep_quad):
+    calls = Counter()
+
+    def factory(k, x, i):
+        calls[k, i] += 1
+        return make_augmented_generator(1.0)
+
+    strategy = BlockStrategy("custom", generator_factory=factory)
+    cfg = SolverConfig(max_outer_iter=5, residual_tol=0.0, step_tol=0.0)
+    res = run(sep_quad, [strategy, strategy], cfg, sep_quad.zeros())
+    assert res.sweeps == 5
+    assert calls == {(k, i): 1 for k in range(1, 6) for i in range(2)}

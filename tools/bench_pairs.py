@@ -15,10 +15,14 @@ provenance comes from ``.bench_out/<workload>/result-trace<0|1>.json``.
 
 Per end-to-end metric of ``BENCHMARK.json`` the file records both sides'
 medians and interquartile ranges, change median over parent median, and the
-number of pairs in which the change was better. A metric whose parent IQR over
-median exceeds the metric's bound is marked ``unresolved``: the parent's own
-spread is too wide to tell a change of that size from noise. Standard library
-only; the benchmark's files are read, never written.
+number of pairs in which the change was better (``pairs_change_better``) and
+worse (``pairs_change_worse``); a tie counts for neither. A metric whose parent
+IQR over median exceeds the metric's bound is marked ``unresolved`` unless the
+two sides' runs do not overlap: when every change run is better than every
+parent run, or every one worse, the difference is resolved however wide the
+parent's spread; otherwise that spread is too wide to tell a change of the
+bound's size from noise. Standard library only; the benchmark's files are read,
+never written.
 """
 
 from __future__ import annotations
@@ -57,20 +61,27 @@ def iqr(values: list) -> float | None:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per metric: both medians and IQRs, the ratio, the pairs the change won."""
+    """Per metric: both medians and IQRs, the ratio, the pairs the change won
+    and lost, and whether the parent's spread leaves the difference unresolved."""
     out = {}
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
         parent = [p["result"]["metrics"][name]["value"] for p, _ in pairs]
         change = [c["result"]["metrics"][name]["value"] for _, c in pairs]
+
+        def better(a, b):  # is a better than b
+            return a < b if lower else a > b
+
         row = {"n_pairs": len(pairs),
                "parent_median": statistics.median(parent), "parent_iqr": iqr(parent),
                "change_median": statistics.median(change), "change_iqr": iqr(change)}
         row["change_over_parent"] = row["change_median"] / row["parent_median"]
-        row["pairs_change_better"] = sum((c < p) if lower else (c > p)
-                                         for p, c in zip(parent, change))
+        row["pairs_change_better"] = sum(better(c, p) for p, c in zip(parent, change))
+        row["pairs_change_worse"] = sum(better(p, c) for p, c in zip(parent, change))
+        separated = (all(better(c, p) for c in change for p in parent)
+                     or all(better(p, c) for c in change for p in parent))
         spread = None if row["parent_iqr"] is None else row["parent_iqr"] / row["parent_median"]
-        row["unresolved"] = spread is not None and spread > m["bound"]
+        row["unresolved"] = spread is not None and spread > m["bound"] and not separated
         out[name] = row
     out["all_correct"] = all(r["result"]["correct"] for pair in pairs for r in pair)
     return out
