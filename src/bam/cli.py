@@ -342,27 +342,22 @@ def _check_names(cfg: dict) -> list:
 
 
 def _out_paths(cfg: dict, out_dir: str) -> tuple[Path, Path]:
-    """The trace and report paths: two different files in ``out_dir``, made once they pass."""
+    """The trace and report paths: two different files in ``out_dir``, each
+    named by a plain file name, made once they pass."""
     section = _require_keys(cfg.get("output", {}), {"trace", "report"}, "output")
     names = section.get("trace", "trace.csv"), section.get("report", "report.json")
     if not all(isinstance(n, str) for n in names):
         raise ConfigurationError(f"output file names must be strings, got {names!r}")
     base = Path(out_dir)
     paths = base / names[0], base / names[1]
+    if any(n in ("", ".", "..") or n != Path(n).name or path.is_dir()
+           for n, path in zip(names, paths)):
+        raise ConfigurationError(
+            "each output name must give a file in an existing directory: a plain file "
+            f"name that is not a directory in --out-dir, got {names!r}"
+        )
     if paths[0].resolve() == paths[1].resolve():
         raise ConfigurationError(f"the trace and report names give the same file, got {names!r}")
-    made = {base.resolve(), *base.resolve().parents}
-
-    def is_dir(path):  # once ``mkdir`` has made out_dir and its parents
-        return path.is_dir() or path.resolve() in made
-
-    # the system follows a ".." only from a directory; ``resolve`` drops any
-    ups = [base.joinpath(*parts[:j]) for parts in (Path(n).parts for n in names)
-           for j, part in enumerate(parts) if part == ".."]
-    if any(is_dir(path) or not is_dir(path.parent) for path in paths) or not all(map(is_dir, ups)):
-        raise ConfigurationError(
-            f"each output name must give a file in an existing directory, got {names!r}"
-        )
     try:
         base.mkdir(parents=True, exist_ok=True)
     except OSError as e:

@@ -347,7 +347,8 @@ def finite_length_monitor(trace, converged: bool = False) -> CheckReport:
     less than 1% of the total path length (the ``cum_step`` curve). The check
     passes on a plateau. Without one it fails when the run ``converged`` (it
     stopped on a tolerance while its path was still growing), and is
-    inconclusive otherwise.
+    inconclusive otherwise, and always with fewer than 2 records, which show
+    no tail to look for a plateau in (a run that converged in one sweep).
     """
     curve = [r.cum_step for r in trace.records]
     total = curve[-1] if curve else 0.0
@@ -360,8 +361,9 @@ def finite_length_monitor(trace, converged: bool = False) -> CheckReport:
         plateau = tail_inc < 0.01 * total
     return CheckReport(
         "finite_length",
-        "pass" if plateau else ("fail" if converged else "inconclusive"),
+        "pass" if plateau else ("fail" if converged and n >= 2 else "inconclusive"),
         details={"total_length": total, "tail_increment": tail_inc, "plateau": plateau},
+        note="" if n >= 2 else f"only {n} records; need >= 2 to look for a plateau",
     )
 
 

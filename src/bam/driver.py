@@ -20,9 +20,14 @@ never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
 ``ascent-rejected`` block stops ``run`` on neither tolerance; if it moved
 nothing, it ends the run ``stalled`` (see ``run``).
 
-A built-in step reads its weight alpha_k and its generator's (nu, L) directly;
-they are the constants the ``bregman`` factories declare, and a test pins them
-equal. Only a Custom step builds a generator, by ``make_generator``, which
+One kind dispatch in ``step_block`` gives phi's (nu, L), the cost
+u -> B_phi(u, x_i^k) and its gradient grad phi(u) - grad phi(x_i^k); the inner
+objective, the Bregman cost paid and the correction are each one expression of
+these for every kind. A built-in step reads its weight alpha_k and (nu, L)
+directly: they are the constants the ``bregman`` factories declare, and a test
+pins them equal. Its cost is (alpha_k/2)||u - x_i^k||^2, or 0 for Exact; a
+Linearized step subtracts H's own Bregman distance from it once, after the
+update. Only a Custom step builds a generator, by ``make_generator``, which
 ``bam check`` also calls. The inner solver and a linearization generator see H
 as a function of block i's bare array through ``_frozen_partial``: the
 coupling's ``restrict``, else ``with_block`` closures. ``step_block`` evaluates
@@ -275,25 +280,6 @@ def make_generator(
     return make_linearization_generator(alpha, *_frozen_partial(p, x, i), L_i)
 
 
-def _smooth_part(
-    p: Problem, x: BlockVector, i: int, weight: Optional[float], gen: Optional[BregmanGenerator]
-):
-    """Value and gradient of u -> H(u) + B_phi(u, x_i^k), the other blocks frozen
-    at x, for ``inner_exact_min``: B_gen for a Custom ``gen``, else
-    (weight/2)||u - x_i^k||^2, whose gradient term an Exact step (weight 0) skips."""
-    anchor = x.block(i)
-    h_value, h_grad = _frozen_partial(p, x, i)
-    if gen is not None:
-        g_anchor = _vec(gen.gradient(anchor))
-        return (lambda u: float(h_value(u)) + bregman_distance(gen, u, anchor),
-                lambda u: _vec(h_grad(u)) + _vec(gen.gradient(u)) - g_anchor)
-
-    def value(u):
-        return float(h_value(u)) + 0.5 * weight * float((u - anchor) @ (u - anchor))
-
-    return value, h_grad if weight == 0.0 else lambda u: h_grad(u) + weight * (u - anchor)
-
-
 class BlockStep(NamedTuple):
     """Block i's update and the quantities the sweep records about it.
 
@@ -302,7 +288,9 @@ class BlockStep(NamedTuple):
     H(x), ``f`` = f_i(x_i), ``bregman`` = B_phi(x_i^{k+1}, x_i^k), ``step_sq`` =
     ||x_i^{k+1} - x_i^k||^2, and ``correction`` is c_i = grad phi(x_i^k) -
     grad phi(x_i^{k+1}) - grad_i H(x), which ``diagnostics.subgradient_residual``
-    adds to grad_i H(x^{k+1}). ``grad`` is grad_i H(x) when the step evaluated
+    adds to grad_i H(x^{k+1}); the step computes it as minus its cost's gradient
+    at x_i^{k+1}, minus grad_i H at x (at the anchor for Linearized, whose cost
+    leaves out phi's -H part). ``grad`` is grad_i H(x) when the step evaluated
     it there (every kind but Linearized, whose gradient is taken before the
     update), else None.
     """
@@ -331,60 +319,69 @@ def step_block(
     """
     anchor = x.block(i)
     term = p.terms[i]
-    gen = L_i = None
-    if strategy.kind == "custom":
+    kind, L_i = strategy.kind, None
+    # The one kind dispatch: (nu, L) of phi, the cost u -> B_phi(u, x_i^k) and its
+    # gradient grad phi(u) - grad phi(x_i^k), without a Linearized phi's frozen -H part
+    if kind == "custom":
         gen = make_generator(strategy, p, x, i, k)
-        weight, nu, lip = None, gen.modulus_nu, gen.lipschitz_L
-    else:  # phi = (weight/2)||u||^2, minus the frozen H when Linearized: its factory's (nu, L)
-        weight, L_i = (0.0, None) if strategy.kind == "exact" else _resolve_alpha(strategy, p, x, i)
-        shift = L_i if strategy.kind == "linearized" else 0.0
-        nu, lip = weight - shift, weight + shift
+        nu, lip, g_anchor = gen.modulus_nu, gen.lipschitz_L, _vec(gen.gradient(anchor))
+        cost, cost_grad = (lambda u: bregman_distance(gen, u, anchor),
+                           lambda u: _vec(gen.gradient(u)) - g_anchor)
+    else:  # phi = (w/2)||u||^2, minus the frozen H when Linearized: its factory's (nu, L)
+        w, L_i = (0.0, None) if kind == "exact" else _resolve_alpha(strategy, p, x, i)
+        shift = L_i if kind == "linearized" else 0.0
+        nu, lip = w - shift, w + shift
 
-    if strategy.kind == "linearized":
+        def cost(u):
+            d = u - anchor
+            return 0.5 * w * float(d @ d)
+
+        def cost_grad(u):
+            return w * (u - anchor)
+
+    if kind == "linearized":
         # the linearization generator turns the subproblem into one prox-gradient step
         g = _vec(p.coupling.partial_grad(x, i))
-        new, flag = _vec(term.prox(anchor - g / weight, 1.0 / weight)), "ok"
-    elif weight is not None and term.exact_coupled_min is not None:
-        new, flag = _vec(term.exact_coupled_min(x, i, weight)), "ok"
+        new, flag = _vec(term.prox(anchor - g / w, 1.0 / w)), "ok"
+    elif kind != "custom" and term.exact_coupled_min is not None:
+        new, flag = _vec(term.exact_coupled_min(x, i, w)), "ok"
     else:
         if not math.isfinite(lip):
             raise ConfigurationError(
                 f"block {p.block_ids[i]!r}: inner solver needs a finite generator Lipschitz bound"
             )
         L_i = float(p.coupling.partial_lipschitz(x, i)) if L_i is None else L_i
-        new, flag = inner_exact_min(*_smooth_part(p, x, i, weight, gen), L_i + lip, term.value,
-                                    term.prox, anchor, cfg.inner_tol, cfg.inner_max_iter)
+        h_value, h_grad = _frozen_partial(p, x, i)
+        new, flag = inner_exact_min(
+            lambda u: float(h_value(u)) + cost(u),
+            h_grad if kind == "exact" else lambda u: h_grad(u) + cost_grad(u),
+            L_i + lip, term.value, term.prox, anchor, cfg.inner_tol, cfg.inner_max_iter,
+        )
 
     x_new = x.with_block(i, new)
     h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
     d = new - anchor
-    if weight is None:
-        bregman = bregman_distance(gen, new, anchor)
-    else:  # phi = (w/2)||u||^2, minus H with the other blocks frozen when linearized
-        bregman = 0.5 * weight * float(d @ d)
-        if strategy.kind == "linearized":
-            bregman -= h_new - h - float(g @ d)
+    step_sq, bregman = float(d @ d), cost(new)
+    if kind == "linearized":  # phi also subtracts H, the other blocks frozen
+        bregman -= h_new - h - float(g @ d)
     if not math.isfinite(bregman):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite Bregman cost")
 
     # The subproblem value at the accepted point must not exceed its value at
     # the anchor (where the Bregman term vanishes); reject ascent steps.
     if h_new + f_new + bregman > h + f + 1e-12 * (1.0 + abs(h + f)):
-        x_new, new, h_new, f_new, bregman, flag = x, anchor, h, f, 0.0, "ascent-rejected"
-        d = np.zeros_like(anchor)
+        x_new, new, h_new, f_new, bregman, step_sq = x, anchor, h, f, 0.0, 0.0
+        flag = "ascent-rejected"
     elif not (math.isfinite(h_new) and math.isfinite(f_new)):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
 
     # c_i subtracts grad_i H(x_new), except that a linearized step's grad phi
     # has -grad_i H terms that leave only the anchor gradient g
     g_new = None
-    if strategy.kind != "linearized":
+    if kind != "linearized":
         g = g_new = _vec(p.coupling.partial_grad(x_new, i))
-    if weight is None:
-        c = _vec(gen.gradient(anchor)) - _vec(gen.gradient(new)) - g
-    else:
-        c = -weight * d - g
-    return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, float(d @ d), c, g_new)
+    c = -cost_grad(new) - g
+    return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, step_sq, c, g_new)
 
 
 def run(

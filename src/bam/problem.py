@@ -208,8 +208,8 @@ def build_sparse_group_instance(
     A is n2 x n1 with i.i.d. standard normal entries drawn from ``seed``
     (or supplied explicitly for reproducibility; a supplied A must be finite).
     L1 = 2*lam_max(A^T A), from a dense symmetric eigensolve of the smaller of
-    the Gram matrices A^T A and A A^T (they share their nonzero eigenvalues);
-    L2 = 2 exactly. The z-subproblem
+    the Gram matrices A^T A and A A^T (they share their nonzero eigenvalues),
+    must be finite too; L2 = 2 exactly. The z-subproblem
 
         min_z ||Ay - z||^2 + lam2*||z||_{1,2} + (alpha/2)||z - z_k||^2
 
@@ -231,9 +231,12 @@ def build_sparse_group_instance(
     else:
         A = np.random.default_rng(seed).standard_normal((n2, n1))
 
-    gram = A @ A.T if n2 <= n1 else A.T @ A
-    lam_max = float(np.linalg.eigvalsh(gram)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        gram = A @ A.T if n2 <= n1 else A.T @ A
+        lam_max = float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
     L1 = 2.0 * lam_max
+    if not math.isfinite(L1):
+        raise ParameterError(f"A is too large: L1 = 2*lam_max(A^T A) = {L1:g} is not finite")
     L2 = 2.0
 
     # A y is keyed on the y array, so iterates that differ only in z share it;

@@ -383,6 +383,22 @@ class TestConfigRejection:
             assert message in caplog.records[0].getMessage()
             assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("name", ["sub/trace.csv", "sub"])
+    def test_output_names_are_plain_file_names(self, tmp_path, caplog, name):
+        """A name with a directory part is rejected even when that directory
+        exists in --out-dir, and so is a name that is a directory there."""
+        (tmp_path / "sub").mkdir()
+        cfg = sep_quad_config()
+        cfg["output"] = {"trace": name}
+        cfg_path = write_config(tmp_path, cfg)
+        for command in ("run", "check"):
+            caplog.clear()
+            assert main([command, cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 1
+            assert [r.levelname for r in caplog.records] == ["ERROR"]
+            assert "must give a file in an existing directory" in caplog.records[0].getMessage()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
     def test_overflowing_x0_is_rejected_before_any_output(self, tmp_path, caplog, recwarn):
         """Finite entries at which (y - z)^2 overflows: the objective at x0 is
         evaluated with numpy's overflow warnings off, and each command logs
@@ -422,6 +438,29 @@ class TestConfigRejection:
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert "A must be finite" in caplog.records[0].getMessage()
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("entry", ["5e153", "1e200"])
+    def test_overflowing_a_matrix_is_rejected_before_any_output(
+        self, tmp_path, caplog, recwarn, entry
+    ):
+        """Finite entries whose L1 = 2*lam_max(A^T A) overflows (to inf at 5e153,
+        to NaN through an infinite Gram matrix at 1e200): each command logs one
+        ERROR that names A, warns nothing and makes no out-dir."""
+        csv = tmp_path / "A.csv"
+        csv.write_text(f"{entry},{entry}\n" * 3)
+        problem = {"name": "sparse_group", "parameters": {"n1": 2, "n2": 3, "a_matrix_csv": str(csv)}}
+        cfg = sep_quad_config(problem=problem)
+        compare_cfg = sep_quad_config(problem=problem, presets=["am", "plam"])
+        del compare_cfg["preset"]
+        out = tmp_path / "out"
+        for command, c in (("run", cfg), ("check", cfg), ("compare", compare_cfg)):
+            caplog.clear()
+            cfg_path = write_config(tmp_path, c, f"{command}.json")
+            assert main([command, cfg_path, "--out-dir", str(out), "--quiet"]) == 1
+            assert [r.levelname for r in caplog.records] == ["ERROR"]
+            assert "A is too large" in caplog.records[0].getMessage()
+        assert not out.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_linearized_step_weight_too_small(self, tmp_path, caplog):
         cfg = sep_quad_config()
@@ -523,6 +562,22 @@ class TestCheck:
         report = read_report(tmp_path)
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["gradcheck"]["status"] == "fail"
+
+
+    @pytest.mark.parametrize("preset", ["am", "plam", "aam", "am-plam", "plam-am"])
+    def test_one_sweep_convergence_passes(self, tmp_path, preset):
+        """The origin minimizes this instance, so from "zeros" every preset
+        converges in one sweep; one record has no tail for finite_length to
+        look for a plateau in, so it is inconclusive, not failed."""
+        cfg = sep_quad_config(preset=preset, solver={"max_outer_iter": 60, "inner_max_iter": 300})
+        cfg["problem"] = {"name": "sparse_group", "seed": 7, "x0": "zeros",
+                          "parameters": {"n1": 50, "n2": 40, "group_size": 5}}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["check", cfg_path, "--out-dir", str(tmp_path), "--quiet"]) == 0
+        report = read_report(tmp_path)
+        assert (report["status"], report["sweeps"]) == ("residual-converged", 1)
+        by_name = {c["name"]: c["status"] for c in report["checks"]}
+        assert (by_name["finite_length"], by_name["critical_point"]) == ("inconclusive", "pass")
 
 
 class TestDeterminism:

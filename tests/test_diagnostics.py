@@ -284,19 +284,22 @@ class TestFiniteLength:
         assert not finite_length_monitor(make_trace(1.0, recs)).details["plateau"]
 
     @pytest.mark.parametrize(
-        "cum_step, converged, status",
+        "cum_step, converged, n, status",
         [
-            (lambda k: 1.0 - 0.5**k, False, "pass"),
-            (lambda k: 1.0 - 0.5**k, True, "pass"),
-            (lambda k: 0.1 * k, False, "inconclusive"),
-            (lambda k: 0.1 * k, True, "fail"),
+            (lambda k: 1.0 - 0.5**k, False, 60, "pass"),
+            (lambda k: 1.0 - 0.5**k, True, 60, "pass"),
+            (lambda k: 0.1 * k, False, 60, "inconclusive"),
+            (lambda k: 0.1 * k, True, 60, "fail"),
+            (lambda k: 0.1 * k, True, 1, "inconclusive"),
         ],
-        ids=["plateau", "plateau-converged", "no-plateau-unconverged", "no-plateau-converged"],
+        ids=["plateau", "plateau-converged", "no-plateau-unconverged", "no-plateau-converged",
+             "one-record-converged"],
     )
-    def test_status_rule(self, cum_step, converged, status):
-        recs = [make_record(k, (0.9, 0.8), cum_step=cum_step(k)) for k in range(1, 61)]
+    def test_status_rule(self, cum_step, converged, n, status):
+        recs = [make_record(k, (0.9, 0.8), cum_step=cum_step(k)) for k in range(1, n + 1)]
         rep = finite_length_monitor(make_trace(1.0, recs), converged=converged)
         assert rep.name == "finite_length" and rep.status == status
+        assert (rep.note != "") == (n < 2)
 
     def test_converged_run_plateaus(self, sep_quad):
         cfg = SolverConfig(max_outer_iter=300, residual_tol=1e-13, step_tol=0.0)

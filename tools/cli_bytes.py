@@ -3,7 +3,7 @@
 Usage:  python tools/cli_bytes.py <src-dir>
 
 ``<src-dir>`` is the directory holding the ``bam`` package to test (the
-``src`` directory of a checkout). For each of 67 invocations the script prints
+``src`` directory of a checkout). For each of 72 invocations the script prints
 one line: a label, the exit code, and the sha256 of ``trace.csv`` and of
 ``report.json`` ("-" for a file that was not written). Run it on two checkouts
 and diff the two outputs to see whether a change moved any output byte:
@@ -18,7 +18,9 @@ The invocations: ``separable_quadratic``, ``separable_quadratic_badgrad``,
 7 and 11 (60 sweeps, ``inner_max_iter`` 300); for each problem, ``run`` with
 every check and ``check`` for each preset, and one ``compare`` over all
 presets; plus one ``run`` of explicit strategies (linearized alpha 4,
-augmented alpha 0.5) on ``separable_quadratic`` from {y: 0.7, z: -2}.
+augmented alpha 0.5) on ``separable_quadratic`` from {y: 0.7, z: -2}, and
+``check`` for each preset on the seed-7 ``sparse_group`` instance from
+``"zeros"``, its minimizer, where every preset converges in one sweep.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ def invocations(check_names):
         "problem": problem, "strategies": strategies,
         "solver": {"max_outer_iter": 300, "residual_tol": 1e-12}, "checks": list(check_names),
     }
+    problem, solver = {tag: rest for tag, *rest in PROBLEMS}["sg7"]
+    for preset in PRESETS:
+        cfg = {"problem": {**problem, "x0": "zeros"}, "preset": preset, "solver": solver,
+               "checks": list(check_names)}
+        yield f"sg7-zeros/check/{preset}", "check", cfg
 
 
 def digest(path: Path) -> str:
