@@ -41,6 +41,7 @@ LIPSCHITZ_PROBES = 20  # probe pairs per empirical Lipschitz estimate,
 LIPSCHITZ_SEED = 0  # drawn from this seed
 SAFETY = 1.5  # factor on the largest observed gradient ratio in those estimates
 LIPSCHITZ_RTOL = 1e-9  # an exactly declared L_i can read a few ulps above itself
+EPS = np.finfo(float).eps  # machine epsilon: rounding a float moves it by up to EPS/2 of its size
 
 
 @dataclass
@@ -301,16 +302,20 @@ def critical_point_certificate(p: Problem, x: BlockVector) -> CheckReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradcheck(p: Problem, x: BlockVector) -> CheckReport:
     """Central-difference validation of every partial gradient of H.
 
     Probes ``GRADCHECK_PROBES`` points around ``x``; relative error per
-    coordinate is |fd - g| / (1 + |g|).
+    coordinate is |fd - g| / (1 + |g|). A coordinate is unresolved when g or
+    fd is not finite, or when eps*(|H(u+h)| + |H(u-h)|)/(2h), about the error
+    rounding H alone puts in fd, exceeds the tolerance (H near the float
+    limit); the check is then inconclusive unless a resolved coordinate fails.
     """
     rng = np.random.default_rng(0)
     dims = p.block_dims
     worst = 0.0
-    worst_loc = None
+    worst_loc = unresolved = None
     for pr in range(GRADCHECK_PROBES):
         xp = x
         for i, dim in enumerate(dims):
@@ -324,19 +329,22 @@ def gradcheck(p: Problem, x: BlockVector) -> CheckReport:
                 dn = base.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (
-                    float(p.coupling.value(xp.with_block(i, up)))
-                    - float(p.coupling.value(xp.with_block(i, dn)))
-                ) / (2.0 * h)
+                h_up = float(p.coupling.value(xp.with_block(i, up)))
+                h_dn = float(p.coupling.value(xp.with_block(i, dn)))
+                fd, tol = (h_up - h_dn) / (2.0 * h), GRADCHECK_TOL * (1.0 + abs(g[j]))
+                if not (math.isfinite(fd) and EPS * (abs(h_up) + abs(h_dn)) / (2.0 * h) <= tol < math.inf):
+                    unresolved = unresolved or (pr, p.block_ids[i], j)
+                    continue
                 err = abs(fd - g[j]) / (1.0 + abs(g[j]))
                 if err > worst:
                     worst = err
                     worst_loc = (pr, p.block_ids[i], j)
     return CheckReport(
         "gradcheck",
-        "pass" if worst <= GRADCHECK_TOL else "fail",
+        "fail" if worst > GRADCHECK_TOL else "pass" if unresolved is None else "inconclusive",
         worst_violation=worst,
         details={"worst_location": worst_loc, "tol": GRADCHECK_TOL},
+        note="" if unresolved is None else f"unresolved (probe, block, coordinate): {unresolved}",
     )
 
 
@@ -397,8 +405,10 @@ def check_generator_convexity(gen: BregmanGenerator, dim: int) -> CheckReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
-    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs.
+    """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs,
+    inf when a ratio is not finite (H overflows near x).
 
     i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
     standard-normal draws from ``LIPSCHITZ_SEED`` and keep the other blocks at
@@ -415,7 +425,8 @@ def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block:
         denom = float(np.linalg.norm(du - dw))
         gu = p.coupling.partial_grad(x.with_block(vary_block, base + du), grad_block)
         gw = p.coupling.partial_grad(x.with_block(vary_block, base + dw), grad_block)
-        worst = max(worst, float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom)
+        ratio = float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom
+        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
     return worst
 
 
@@ -443,15 +454,18 @@ def estimate_cross_lipschitz(p: Problem, x: BlockVector, grad_block: int, vary_b
 def check_declared_lipschitz(p: Problem, x: BlockVector, i: int) -> CheckReport:
     """``lipschitz_declared[<block id>]``: fails when the largest gradient ratio
     observed in block i at ``x`` (``estimate_partial_lipschitz / SAFETY``)
-    exceeds the declared partial Lipschitz constant by a relative ``LIPSCHITZ_RTOL``."""
+    exceeds the declared partial Lipschitz constant by a relative ``LIPSCHITZ_RTOL``;
+    inconclusive when that ratio is not finite (H overflows near x)."""
     declared = float(p.coupling.partial_lipschitz(x, i))
     observed = estimate_partial_lipschitz(p, x, i) / SAFETY
     excess = observed - declared
+    finite = math.isfinite(observed)
     return CheckReport(
         f"lipschitz_declared[{p.block_ids[i]}]",
-        "pass" if excess <= LIPSCHITZ_RTOL * abs(declared) else "fail",
+        "inconclusive" if not finite else "pass" if excess <= LIPSCHITZ_RTOL * abs(declared) else "fail",
         worst_violation=excess,
         details={"declared": declared, "observed": observed},
+        note="" if finite else "a probe's gradient ratio is not finite",
     )
 
 

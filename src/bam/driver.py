@@ -22,11 +22,11 @@ nothing, it ends the run ``stalled`` (see ``run``).
 
 One kind dispatch in ``step_block`` gives phi's (nu, L), the cost
 u -> B_phi(u, x_i^k) and its gradient grad phi(u) - grad phi(x_i^k); the inner
-objective, the Bregman cost paid and the correction are each one expression of
-these for every kind. A built-in step reads its weight alpha_k and (nu, L)
-directly: they are the constants the ``bregman`` factories declare, and a test
-pins them equal. Its cost is (alpha_k/2)||u - x_i^k||^2, or 0 for Exact; a
-Linearized step subtracts H's own Bregman distance from it once, after the
+objective is one expression of these for every kind. A built-in step reads its
+weight alpha_k and (nu, L) directly: they are the constants the ``bregman``
+factories declare, and a test pins them equal. It pays (alpha_k/2)||d||^2, or 0
+for Exact, with gradient alpha_k d, read from the step d = x_i^{k+1} - x_i^k;
+a Linearized step subtracts H's own Bregman distance from it once, after the
 update. Only a Custom step builds a generator, by ``make_generator``, which
 ``bam check`` also calls. The inner solver and a linearization generator see H
 as a function of block i's bare array through ``_frozen_partial``: the
@@ -361,7 +361,8 @@ def step_block(
     x_new = x.with_block(i, new)
     h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
     d = new - anchor
-    step_sq, bregman = float(d @ d), cost(new)
+    step_sq = float(d @ d)
+    bregman = cost(new) if kind == "custom" else 0.5 * w * step_sq
     if kind == "linearized":  # phi also subtracts H, the other blocks frozen
         bregman -= h_new - h - float(g @ d)
     if not math.isfinite(bregman):
@@ -370,7 +371,7 @@ def step_block(
     # The subproblem value at the accepted point must not exceed its value at
     # the anchor (where the Bregman term vanishes); reject ascent steps.
     if h_new + f_new + bregman > h + f + 1e-12 * (1.0 + abs(h + f)):
-        x_new, new, h_new, f_new, bregman, step_sq = x, anchor, h, f, 0.0, 0.0
+        x_new, new, d, h_new, f_new, bregman, step_sq = x, anchor, np.zeros_like(d), h, f, 0.0, 0.0
         flag = "ascent-rejected"
     elif not (math.isfinite(h_new) and math.isfinite(f_new)):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
@@ -380,7 +381,7 @@ def step_block(
     g_new = None
     if kind != "linearized":
         g = g_new = _vec(p.coupling.partial_grad(x_new, i))
-    c = -cost_grad(new) - g
+    c = (-cost_grad(new) if kind == "custom" else (-w) * d) - g
     return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, step_sq, c, g_new)
 
 

@@ -7,18 +7,18 @@ subdifferential-distance certificate) and a default start point, whose blocks
 give the problem's block ids and sizes. The empirical Lipschitz estimators
 that test a problem's declared constants are in ``diagnostics``.
 
-Built-in instances:
+Every built-in H is one least-squares coupling ||sum_i A_i x_i||^2 from
+``_least_squares``, with ``restrict`` and one exact-step rule, a prox of f_i,
+for every block with A_i^T A_i = s_i I:
 
-* ``multiblock_quadratic``  -- n >= 3 scalar blocks coupled pairwise,
-  sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2, with a dense linear
-  solve giving the exact global minimizer.
-* ``separable_quadratic``   -- (y-1)^2 + (y-z)^2 + (z+1)^2, the same coupled
-  quadratic on two blocks (c_yz = 1, t = (1, -1)) from the same builder, so
-  the same oracles and metadata; global minimizer (1/3, -1/3) with optimal
-  value 4/3. Its ``_badgrad`` variant adds a +0.1 fault to grad_y H.
-* ``sparse_group``          -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2}
-  with a seeded Gaussian A; the z-subproblem has a closed-form groupwise
-  shrinkage solution.
+* ``sparse_group``  -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2} with a
+  seeded Gaussian A and A_z = -I; the exact z step is groupwise shrinkage.
+* ``multiblock_quadratic`` -- n >= 3 scalar blocks coupled pairwise,
+  sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2: H = ||D x||^2 with one
+  row sqrt(c_ij) (e_i - e_j) per pair; a dense solve gives the minimizer.
+* ``separable_quadratic`` -- (y-1)^2 + (y-z)^2 + (z+1)^2, the same on two
+  blocks (c_yz = 1, t = (1, -1)); minimizer (1/3, -1/3), value 4/3. Its
+  ``_badgrad`` variant adds a +0.1 fault to grad_y H and drops ``restrict``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class CouplingOracle:
     linearization generators keep the old oracles.
 
     Oracle results, ``restrict``'s included, may be shared read-only arrays:
-    callers must not write into them (copy first). The built-in couplings keep their products in
-    ``_memo``s keyed on the iterate or on one of its block arrays; the
-    sparse_group grad_y H is its kept 2 A^T r itself.
+    callers must not write into them (copy first). The built-in couplings keep
+    their products in ``_memo``s keyed on the iterate, one of its block arrays
+    or a kept product (``_least_squares``).
     """
 
     value: Callable[[BlockVector], float]
@@ -165,13 +165,6 @@ def group_l2_certificate(lam: float, gid: Array) -> Callable[[Array, Array], flo
     return cert
 
 
-def smooth_certificate(grad: Callable[[Array], Array]) -> Callable[[Array, Array], float]:
-    def cert(xi: Array, g: Array) -> float:
-        return float(np.linalg.norm(-np.asarray(g, dtype=float) - np.asarray(grad(xi), dtype=float)))
-
-    return cert
-
-
 # --------------------------------------------------------------------------
 # built-in instances
 
@@ -194,6 +187,79 @@ def _memo(fn: Callable) -> Callable:
     return memo
 
 
+def _sq(r: Array) -> float:
+    return float(r @ r)
+
+
+def _least_squares(A: Array, prox: Sequence[Callable], minus_identity: bool = False):
+    """H = ||r||^2 for r = sum_i A_i x_i, as (coupling, exact, L).
+
+    With ``minus_identity`` the blocks are y and z, A_y = A and A_z = -I;
+    else block i is a scalar and A_i is column i of A. r is kept on the
+    iterate, A y on the y array (shared by iterates that differ only in z),
+    and 2 A^T r on r. L_i = 2||A_i||^2 (lam_max of A's smaller Gram matrix for
+    y); a non-finite one raises ParameterError. ``restrict`` covers every block.
+    ``exact(x, i, alpha)`` is the step of z and of each scalar, the blocks with
+    A_i^T A_i = s_i I: u = prox[i](v, 1/(2 s_i + alpha)) for
+    v = (-2 A_i^T r_{-i} + alpha x_i)/(2 s_i + alpha), r_{-i} formed from the
+    other blocks, not as r - A_i x_i, whose subtraction rounds: -A_i^T r_{-i}
+    is A y for z and, for a scalar, row i of -A^T A off its diagonal times x.
+    """
+    AT = A.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if minus_identity:
+            gram = A @ AT if A.shape[0] <= A.shape[1] else AT @ A
+            s = [float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf, 1.0]
+        else:
+            G = -(AT @ A)
+            s = (-G.diagonal()).tolist()
+            np.fill_diagonal(G, 0.0)
+    L = [2.0 * si for si in s]  # s_i = ||A_i||^2
+    if not all(map(math.isfinite, L)):
+        raise ParameterError(f"A is too large: the L_i = 2*lam_max(A_i^T A_i) are {L}, not all finite")
+
+    # the blocks A multiplies as one array (y, or the flat iterate), and r
+    a_times = _memo(lambda xa: A @ xa)
+    stacked = _memo(lambda x: x.block(0) if minus_identity else x.to_flat())
+    residual = _memo(lambda x: a_times(stacked(x)) - x.block(1) if minus_identity else a_times(stacked(x)))
+
+    @_memo
+    def two_at_kept(r: Array) -> Array:
+        g = 2.0 * (AT @ r)
+        g.setflags(write=False)
+        return g
+
+    def grad_of(r: Array, i: int, kept: bool = False) -> Array:  # grad_i H at the residual r
+        if minus_identity and i == 1:
+            return -2.0 * r
+        g = two_at_kept(r) if kept else 2.0 * (AT @ r)
+        return g if minus_identity else g[i:i + 1]
+
+    # the same float operations as value and partial_grad on x.with_block(i, u)
+    def restrict(x: BlockVector, i: int):
+        head, tail = x.arrays[:i], x.arrays[i + 1:]
+
+        def residual_at(u: Array) -> Array:
+            if minus_identity:
+                return A @ u - tail[0] if i == 0 else a_times(head[0]) - u
+            return A @ np.concatenate(head + (u,) + tail)
+
+        return lambda u: _sq(residual_at(u)), lambda u: grad_of(residual_at(u), i)
+
+    def exact(x: BlockVector, i: int, alpha: float) -> Array:
+        c = a_times(x.block(0)) if minus_identity else G[i] @ stacked(x)  # -A_i^T r_{-i}
+        den = 2.0 * s[i] + alpha
+        return prox[i]((2.0 * c + alpha * x.block(i)) / den, 1.0 / den)
+
+    coupling = CouplingOracle(
+        value=lambda x: _sq(residual(x)),
+        partial_grad=lambda x, i: grad_of(residual(x), i, kept=True),
+        partial_lipschitz=lambda x, i: L[i],
+        restrict=restrict,
+    )
+    return coupling, exact, L
+
+
 def build_sparse_group_instance(
     n1: int,
     n2: int,
@@ -207,14 +273,10 @@ def build_sparse_group_instance(
 
     A is n2 x n1 with i.i.d. standard normal entries drawn from ``seed``
     (or supplied explicitly for reproducibility; a supplied A must be finite).
-    L1 = 2*lam_max(A^T A), from a dense symmetric eigensolve of the smaller of
-    the Gram matrices A^T A and A A^T (they share their nonzero eigenvalues),
-    must be finite too; L2 = 2 exactly. The z-subproblem
-
-        min_z ||Ay - z||^2 + lam2*||z||_{1,2} + (alpha/2)||z - z_k||^2
-
-    has the closed form: groupwise shrinkage of (2Ay + alpha*z_k)/(2+alpha)
-    by lam2/(2+alpha). ``groups`` must partition range(n2) (``prox.validate_groups``).
+    H is ``_least_squares`` with A_y = A and A_z = -I, so L1 = 2*lam_max(A^T A),
+    L2 = 2, and the exact z step is groupwise shrinkage of
+    (2Ay + alpha*z_k)/(2+alpha) by lam2/(2+alpha). ``groups`` must partition
+    range(n2) (``prox.validate_groups``).
     """
     if n1 < 1 or n2 < 1:
         raise ParameterError("n1 and n2 must be >= 1")
@@ -231,80 +293,18 @@ def build_sparse_group_instance(
     else:
         A = np.random.default_rng(seed).standard_normal((n2, n1))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        gram = A @ A.T if n2 <= n1 else A.T @ A
-        lam_max = float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
-    L1 = 2.0 * lam_max
-    if not math.isfinite(L1):
-        raise ParameterError(f"A is too large: L1 = 2*lam_max(A^T A) = {L1:g} is not finite")
-    L2 = 2.0
-
-    # A y is keyed on the y array, so iterates that differ only in z share it;
-    # r = Ay - z and 2 A^T r on the iterate. Only the read-only gradient leaves.
-    @_memo
-    def a_times(y: Array) -> Array:
-        return A @ y
-
-    @_memo
-    def residual(x: BlockVector) -> Array:
-        y, z = x.arrays
-        return a_times(y) - z
-
-    @_memo
-    def grad_y(x: BlockVector) -> Array:
-        g = 2.0 * (A.T @ residual(x))
-        g.setflags(write=False)
-        return g
-
-    def h_value(x: BlockVector) -> float:
-        r = residual(x)
-        return float(r @ r)
-
-    def h_grad(x: BlockVector, i: int) -> Array:
-        return grad_y(x) if i == 0 else -2.0 * residual(x)
-
-    # the same float operations as h_value and h_grad on x.with_block(i, u)
-    def restrict(x: BlockVector, i: int):
-        if i == 0:
-            z = x.block(1)
-
-            def value(u: Array) -> float:
-                r = A @ u - z
-                return float(r @ r)
-
-            def grad(u: Array) -> Array:
-                return 2.0 * (A.T @ (A @ u - z))
-        else:
-            y = x.block(0)
-
-            def value(u: Array) -> float:
-                r = a_times(y) - u
-                return float(r @ r)
-
-            def grad(u: Array) -> Array:
-                return -2.0 * (a_times(y) - u)
-        return value, grad
-
-    coupling = CouplingOracle(
-        value=h_value,
-        partial_grad=h_grad,
-        partial_lipschitz=lambda x, i: L1 if i == 0 else L2,
-        restrict=restrict,
-    )
-
-    def z_exact(x: BlockVector, i: int, alpha: float) -> Array:
-        w = (2.0 * a_times(x.block(0)) + alpha * x.block(1)) / (2.0 + alpha)
-        return group_shrink(w, gid, lambda2 / (2.0 + alpha))
-
+    prox = (lambda v, tau: soft_threshold(v, tau * lambda1),
+            lambda v, tau: group_shrink(v, gid, tau * lambda2))
+    coupling, exact, (L1, L2) = _least_squares(A, prox, minus_identity=True)
     term_y = BlockTerm(
         value=lambda u: lambda1 * float(np.sum(np.abs(u))),
-        prox=lambda v, tau: soft_threshold(v, tau * lambda1),
+        prox=prox[0],
         subdiff_certificate=l1_certificate(lambda1),
     )
     term_z = BlockTerm(
         value=lambda u: lambda2 * float(np.sum(group_norms(u, gid))),
-        prox=lambda v, tau: group_shrink(v, gid, tau * lambda2),
-        exact_coupled_min=z_exact,
+        prox=prox[1],
+        exact_coupled_min=exact,
         subdiff_certificate=group_l2_certificate(lambda2, gid),
     )
 
@@ -325,9 +325,14 @@ def build_sparse_group_instance(
             "lambda2": lambda2,
             "L1": L1,
             "L2": L2,
-            "cross_lipschitz": 2.0 * math.sqrt(lam_max),
+            "cross_lipschitz": 2.0 * math.sqrt(0.5 * L1),
         },
     )
+
+
+def _pairs(n: int) -> tuple[Array, Array]:
+    """The pairs i < j of range(n) in row order: ``np.triu_indices(n, 1)``, faster."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 def _coupled_quadratic(name: str, block_ids: Sequence[str], C: Array, t: Array) -> Problem:
@@ -335,57 +340,36 @@ def _coupled_quadratic(name: str, block_ids: Sequence[str], C: Array, t: Array) 
     f_i(x_i) = (x_i - t_i)^2, for a symmetric C with zero diagonal; the
     problem ``name`` with one block per id in ``block_ids``, started at 0.
 
-    The global minimizer solves the positive-definite system
+    H is ``_least_squares`` on ||D x||^2, D with one row sqrt(c_ij) (e_i - e_j)
+    per pair i < j. The global minimizer solves the positive-definite system
     (I + Laplacian(C)) x = t; the metadata holds it with ``phi_star``,
-    ``couplings`` C, ``targets`` t and ``cross_lipschitz``. The oracles read
-    the iterate's flat array from one ``_memo`` keyed on the iterate.
+    ``couplings`` C, ``targets`` t and ``cross_lipschitz``.
     """
-    row_sum = C.sum(axis=1)
-
-    @_memo
-    def flat(x: BlockVector) -> Array:
-        return x.to_flat()
-
-    def h_value(x: BlockVector) -> float:
-        xs = flat(x)
-        diff = xs[:, None] - xs[None, :]
-        return 0.5 * float(np.sum(C * diff**2))  # each pair counted twice in C
-
-    def h_grad(x: BlockVector, i: int) -> Array:
-        xs = flat(x)
-        return np.array([2.0 * float(C[i] @ (xs[i] - xs))])
-
-    coupling = CouplingOracle(
-        value=h_value,
-        partial_grad=h_grad,
-        partial_lipschitz=lambda x, i: 2.0 * float(row_sum[i]),
+    first, second = _pairs(t.size)
+    root = np.sqrt(C[first, second])
+    D = np.zeros((root.size, t.size))
+    D[np.arange(root.size), first] = root
+    D[np.arange(root.size), second] = -root
+    targets = t.tolist()
+    prox = [lambda v, tau, ti=ti: (np.asarray(v, dtype=float) + 2.0 * tau * ti) / (1.0 + 2.0 * tau)
+            for ti in targets]
+    coupling, exact, _ = _least_squares(D, prox)
+    terms = tuple(
+        BlockTerm(
+            value=lambda u, ti=ti: float((u[0] - ti) ** 2),
+            prox=prox[i],
+            exact_coupled_min=exact,
+            subdiff_certificate=lambda u, g, ti=ti: abs(float(g[0]) + 2.0 * (float(u[0]) - ti)),
+        )
+        for i, ti in enumerate(targets)
     )
 
-    def make_term(i: int) -> BlockTerm:
-        ti = float(t[i])
-
-        def exact(x: BlockVector, _i: int, alpha: float) -> Array:
-            xs = flat(x)
-            num = 2.0 * ti + 2.0 * float(C[i] @ xs) + alpha * xs[i]
-            den = 2.0 + 2.0 * float(row_sum[i]) + alpha
-            return np.array([num / den])
-
-        return BlockTerm(
-            value=lambda u: float((u[0] - ti) ** 2),
-            prox=lambda v, tau: (np.asarray(v, dtype=float) + 2.0 * tau * ti) / (1.0 + 2.0 * tau),
-            exact_coupled_min=exact,
-            subdiff_certificate=smooth_certificate(
-                lambda u, ti=ti: 2.0 * (np.asarray(u, dtype=float) - ti)
-            ),
-        )
-
-    M = np.diag(1.0 + row_sum) - C
-    minimizer = np.linalg.solve(M, t)
-
+    row_sum = C.sum(axis=1)
+    minimizer = np.linalg.solve(np.diag(1.0 + row_sum) - C, t)
     prob = Problem(
         name=name,
         coupling=coupling,
-        terms=tuple(make_term(i) for i in range(t.size)),
+        terms=terms,
         default_x0=BlockVector([(bid, [0.0]) for bid in block_ids]),
         metadata={
             "couplings": C,
@@ -425,7 +409,7 @@ def build_separable_quadratic_badgrad() -> Problem:
     return replace(
         base,
         name="separable_quadratic_badgrad",
-        coupling=replace(base.coupling, partial_grad=bad_grad),
+        coupling=replace(base.coupling, partial_grad=bad_grad, restrict=None),
         metadata={"fault": ("y", 0)},
     )
 
@@ -440,7 +424,7 @@ def build_multiblock_quadratic(n_blocks: int = 3, seed: int = 0) -> Problem:
         raise ParameterError(f"n_blocks must be >= 3, got {n_blocks}")
     rng = np.random.default_rng(seed)
     C = np.zeros((n_blocks, n_blocks))
-    iu = np.triu_indices(n_blocks, k=1)
+    iu = _pairs(n_blocks)
     C[iu] = rng.uniform(0.1, 1.0, size=len(iu[0]))
     C = C + C.T
     t = rng.uniform(-1.0, 1.0, size=n_blocks)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bam.blockvec import BlockVector
-from bam.driver import SolverConfig, resolve_strategy_preset, run
+from bam.driver import SolverConfig, _frozen_partial, resolve_strategy_preset, run
 from bam.diagnostics import estimate_partial_lipschitz
 from bam.errors import ParameterError, ShapeError
 from bam.problem import (
@@ -17,6 +17,8 @@ from bam.problem import (
     _coupled_quadratic,
     _memo,
     build_multiblock_quadratic,
+    build_separable_quadratic,
+    build_separable_quadratic_badgrad,
     build_sparse_group_instance,
     phi_value,
 )
@@ -29,6 +31,23 @@ SUPPLIED_A_INSTANCE = build_sparse_group_instance(
     6, 9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
     a_matrix=np.random.default_rng(3).standard_normal((9, 6)),
 )
+
+
+SEPARABLE = build_separable_quadratic()
+MULTIBLOCK_5 = build_multiblock_quadratic(5, seed=2)
+MULTIBLOCK_16 = build_multiblock_quadratic(16, seed=7)
+
+
+def pair_matrix(C):
+    """D with one row sqrt(c_ij) (e_i - e_j) per pair i < j, in row order: H = ||D x||^2."""
+    n = C.shape[0]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = np.zeros(n)
+            row[i], row[j] = np.sqrt(C[i, j]), -np.sqrt(C[i, j])
+            rows.append(row)
+    return np.array(rows)
 
 
 def fd_partial(p, x, i, j, h=1e-6):
@@ -82,6 +101,37 @@ class TestSeparableQuadratic:
             grid = np.arange(-4, 4, 1e-5)
             ref = grid[np.argmin(tau * (grid - 1) ** 2 + 0.5 * (grid - v) ** 2)]
             assert u == pytest.approx(ref, abs=1e-4)
+
+
+def assert_oracles_hold_under_threads(p, points, expected, block, seconds=0.5):
+    """Six threads evaluate H and grad_block H on ``points`` in turn, switching
+    every microsecond, and must each get the ``expected`` (value, gradient)."""
+    mismatches = []
+    start = threading.Barrier(6)
+
+    def worker(offset):
+        start.wait(timeout=60)
+        end, k = time.perf_counter() + seconds, offset
+        while time.perf_counter() < end:
+            k += 1
+            j = k % len(points)
+            h, g = expected[j]
+            if (p.coupling.value(points[j]) != h
+                    or not np.array_equal(p.coupling.partial_grad(points[j], block), g)):
+                mismatches.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 class TestSparseGroup:
@@ -162,8 +212,9 @@ class TestSparseGroup:
                 )
 
     def test_cached_products_hold_under_threads(self):
-        """Threads sharing one instance, switching every microsecond for one
-        second, each get the products of their own iterate."""
+        """Threads sharing one instance, switching every microsecond for half a
+        second, each get the products of their own iterate: on sparse_group,
+        and on the 16-block coupled quadratic."""
         p = build_sparse_group_instance(50, 40, GROUPS_8x5, seed=7)
         A = p.metadata["A"]
         rng = np.random.default_rng(9)
@@ -175,32 +226,19 @@ class TestSparseGroup:
         for x in points:
             r = A @ x.block(0) - x.block(1)
             expected.append((float(r @ r), 2.0 * (A.T @ r)))
-        mismatches = []
-        start = threading.Barrier(6)
+        assert_oracles_hold_under_threads(p, points, expected, block=0)
 
-        def worker(offset):
-            start.wait(timeout=60)
-            end, k = time.perf_counter() + 1.0, offset
-            while time.perf_counter() < end:
-                k += 1
-                j = k % len(points)
-                h, g = expected[j]
-                if (p.coupling.value(points[j]) != h
-                        or not np.array_equal(p.coupling.partial_grad(points[j], 0), g)):
-                    mismatches.append(j)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert mismatches == []
+        q = build_multiblock_quadratic(16, seed=7)
+        D = pair_matrix(q.metadata["couplings"])
+        x0 = q.default_x0
+        x_a = x0.with_block(3, rng.standard_normal(1))
+        points = [x0, x_a, x0.with_block(9, rng.standard_normal(1)),
+                  x_a.with_block(9, rng.standard_normal(1))]  # pairs share all but one block
+        expected = []
+        for x in points:
+            r = D @ x.to_flat()
+            expected.append((float(r @ r), (2.0 * (D.T @ r))[9:10]))
+        assert_oracles_hold_under_threads(q, points, expected, block=9)
 
     def test_gradient_is_a_shared_read_only_array(self, sparse_group):
         x = sparse_group.default_x0.with_block(0, np.ones(50))
@@ -210,14 +248,17 @@ class TestSparseGroup:
         with pytest.raises(ValueError):
             g[0] = 1.0
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["generated", "supplied"]), st.integers(0, 1),
-           st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
-    def test_restrict_equals_the_generic_oracles(self, sparse_group, which, i, seed, scale):
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["generated", "supplied", "separable", "multiblock 5", "multiblock 16"]),
+           st.integers(0, 15), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_restrict_equals_the_generic_oracles(self, sparse_group, which, block, seed, scale):
         """H and grad_i H on block i's bare array are the floats the iterate
-        oracles give on x.with_block(i, u), for the 50x40 seeded A (n2 < n1)
-        and a supplied 9x6 A (n2 > n1)."""
-        p = sparse_group if which == "generated" else SUPPLIED_A_INSTANCE
+        oracles give on x.with_block(i, u), for the 50x40 seeded A (n2 < n1),
+        a supplied 9x6 A (n2 > n1) and the coupled quadratics on 2, 5 and 16
+        blocks."""
+        p = {"generated": sparse_group, "supplied": SUPPLIED_A_INSTANCE, "separable": SEPARABLE,
+             "multiblock 5": MULTIBLOCK_5, "multiblock 16": MULTIBLOCK_16}[which]
+        i = block % p.n_blocks
         rng = np.random.default_rng(seed)
         x = BlockVector([(bid, scale * rng.standard_normal(d))
                          for bid, d in zip(p.block_ids, p.block_dims)])
@@ -293,10 +334,10 @@ class TestMultiblockQuadratic:
 
     def test_cached_products_follow_every_block_change(self):
         """H, every partial gradient and every exact step match a direct numpy
-        evaluation after x1, then x2, then both blocks change."""
+        evaluation of H = ||D x||^2 after x1, then x2, then both blocks change."""
         p = build_multiblock_quadratic(5, seed=2)
-        C, t = p.metadata["couplings"], p.metadata["targets"]
-        row_sum = C.sum(axis=1)
+        D, t = pair_matrix(p.metadata["couplings"]), p.metadata["targets"]
+        gram = D.T @ D
         rng = np.random.default_rng(5)
         x = p.default_x0
         points = [x]
@@ -306,14 +347,19 @@ class TestMultiblockQuadratic:
             points.append(x)
         for x in points:
             xs = np.concatenate(x.arrays)
-            assert p.coupling.value(x) == 0.5 * float(np.sum(C * (xs[:, None] - xs[None, :]) ** 2))
+            r = D @ xs
+            assert p.coupling.value(x) == float(r @ r)
+            g = 2.0 * (D.T @ r)
             for i in range(p.n_blocks):
-                g = 2.0 * float(C[i] @ (xs[i] - xs))
-                np.testing.assert_array_equal(p.coupling.partial_grad(x, i), [g])
+                np.testing.assert_array_equal(p.coupling.partial_grad(x, i), g[i:i + 1])
+                off = -gram[i]
+                off[i] = 0.0
                 for alpha in (0.0, 1.0):
-                    num = 2.0 * t[i] + 2.0 * float(C[i] @ xs) - 2.0 * C[i, i] * xs[i] + alpha * xs[i]
-                    u = num / (2.0 + 2.0 * float(row_sum[i]) + alpha)
-                    np.testing.assert_array_equal(p.terms[i].exact_coupled_min(x, i, alpha), [u])
+                    # the prox of (u - t_i)^2 at (-2 A_i^T r_{-i} + alpha x_i)/den, step 1/den
+                    den = 2.0 * gram[i, i] + alpha
+                    v, tau = (2.0 * (off @ xs) + alpha * xs[i:i + 1]) / den, 1.0 / den
+                    u = (v + 2.0 * tau * t[i]) / (1.0 + 2.0 * tau)
+                    np.testing.assert_array_equal(p.terms[i].exact_coupled_min(x, i, alpha), u)
 
     def test_one_flat_array_per_block_update(self, monkeypatch):
         """Steady-state am sweeps on 16 blocks build the iterate's flat array
@@ -332,6 +378,37 @@ class TestMultiblockQuadratic:
         run(p, resolve_strategy_preset("am", 16), cfg, p.default_x0,
             callback=lambda k, x: after_sweep.append(len(calls)))
         assert np.diff(after_sweep).tolist() == [16] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sparse_group", "separable", "multiblock 5", "multiblock 16"]),
+       st.integers(0, 15), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1),
+       st.floats(1e-2, 1e2))
+def test_exact_step_meets_its_optimality_condition(sparse_group, which, block, alpha, seed, scale):
+    """The one exact-step rule of both coupling families: u = exact_coupled_min(x, i, alpha)
+    puts -(grad_i H(x with u) + alpha (u - x_i)) in the subdifferential of f_i at u."""
+    p = {"sparse_group": sparse_group, "separable": SEPARABLE, "multiblock 5": MULTIBLOCK_5,
+         "multiblock 16": MULTIBLOCK_16}[which]
+    i = 1 if which == "sparse_group" else block % p.n_blocks  # sparse_group's z
+    rng = np.random.default_rng(seed)
+    x = BlockVector([(bid, scale * rng.standard_normal(d))
+                     for bid, d in zip(p.block_ids, p.block_dims)])
+    term = p.terms[i]
+    u = np.asarray(term.exact_coupled_min(x, i, alpha))
+    g = np.asarray(p.coupling.partial_grad(x.with_block(i, u), i)) + alpha * (u - x.block(i))
+    assert term.subdiff_certificate(u, g) <= 1e-9 * (1.0 + np.linalg.norm(u))
+
+
+def test_badgrad_drops_restrict():
+    """The faulted grad_y H replaces partial_grad, so the variant drops the base
+    coupling's restrict and the engine falls back to the faulted oracle."""
+    bad = build_separable_quadratic_badgrad()
+    assert SEPARABLE.coupling.restrict is not None
+    assert bad.coupling.restrict is None
+    x = bad.zeros()
+    _, grad = _frozen_partial(bad, x, 0)
+    np.testing.assert_array_equal(grad(np.zeros(1)), bad.coupling.partial_grad(x, 0))
+    assert grad(np.zeros(1))[0] == SEPARABLE.coupling.partial_grad(x, 0)[0] + 0.1
 
 
 def test_memo_keeps_the_value_of_the_last_argument():

@@ -4,9 +4,13 @@ Usage:  python tools/cli_bytes.py <src-dir>
 
 ``<src-dir>`` is the directory holding the ``bam`` package to test (the
 ``src`` directory of a checkout). For each of 72 invocations the script prints
-one line: a label, the exit code, and the sha256 of ``trace.csv`` and of
-``report.json`` ("-" for a file that was not written). Run it on two checkouts
-and diff the two outputs to see whether a change moved any output byte:
+one line: a label, the exit code, the sha256 of ``trace.csv`` and of
+``report.json`` ("-" for a file that was not written), and then, read from
+``report.json``, the run's status, sweep count and final phi (``%.17g``); for
+``compare``, one such triple per preset, with the sweep count its
+``sweeps_to_tol`` ("-" when the preset did not converge). Run it on two
+checkouts and diff the two outputs to see whether a change moved any output
+byte, and by how much it moved phi:
 
     python tools/cli_bytes.py ../parent/src > before.txt
     python tools/cli_bytes.py src > after.txt
@@ -79,6 +83,19 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+def outcome(path: Path) -> str:
+    """Status, sweep count and final phi from a report; per preset for ``compare``."""
+    if not path.exists():
+        return "-"
+    report = json.loads(path.read_text())
+    if "summary" not in report:
+        return f"status={report['status']} sweeps={report['sweeps']} phi={report['phi']:.17g}"
+    return " ".join(
+        f"{row['preset']}:status={row['status']} sweeps={row['sweeps_to_tol'] or '-'} "
+        f"phi={row['final_phi']:.17g}" for row in report["summary"]
+    )
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -100,7 +117,8 @@ def main(argv) -> int:
             config.write_text(json.dumps(cfg))
             rc = bam_main([command, str(config), "--out-dir", str(out), "--quiet"])
             print(f"{label} exit={rc} trace={digest(out / 'trace.csv')} "
-                  f"report={digest(out / 'report.json')}", flush=True)
+                  f"report={digest(out / 'report.json')} {outcome(out / 'report.json')}",
+                  flush=True)
     return 0
 
 
