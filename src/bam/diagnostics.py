@@ -308,9 +308,10 @@ def gradcheck(p: Problem, x: BlockVector) -> CheckReport:
 
     Probes ``GRADCHECK_PROBES`` points around ``x``; relative error per
     coordinate is |fd - g| / (1 + |g|). A coordinate is unresolved when g or
-    fd is not finite, or when eps*(|H(u+h)| + |H(u-h)|)/(2h), about the error
-    rounding H alone puts in fd, exceeds the tolerance (H near the float
-    limit); the check is then inconclusive unless a resolved coordinate fails.
+    fd is not finite, or when it would fail but |fd - g| is within
+    eps*(|H(u+h)| + |H(u-h)|)/(2h), the error rounding H alone can put in fd
+    (H near the float limit); the check is then inconclusive unless a resolved
+    coordinate fails.
     """
     rng = np.random.default_rng(0)
     dims = p.block_dims
@@ -331,11 +332,13 @@ def gradcheck(p: Problem, x: BlockVector) -> CheckReport:
                 dn[j] -= h
                 h_up = float(p.coupling.value(xp.with_block(i, up)))
                 h_dn = float(p.coupling.value(xp.with_block(i, dn)))
-                fd, tol = (h_up - h_dn) / (2.0 * h), GRADCHECK_TOL * (1.0 + abs(g[j]))
-                if not (math.isfinite(fd) and EPS * (abs(h_up) + abs(h_dn)) / (2.0 * h) <= tol < math.inf):
+                fd = (h_up - h_dn) / (2.0 * h)
+                err = abs(fd - g[j]) / (1.0 + abs(g[j]))
+                if not (math.isfinite(fd) and math.isfinite(g[j])) or (
+                        err > GRADCHECK_TOL
+                        and EPS * (abs(h_up) + abs(h_dn)) / (2.0 * h) >= abs(fd - g[j])):
                     unresolved = unresolved or (pr, p.block_ids[i], j)
                     continue
-                err = abs(fd - g[j]) / (1.0 + abs(g[j]))
                 if err > worst:
                     worst = err
                     worst_loc = (pr, p.block_ids[i], j)

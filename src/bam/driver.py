@@ -21,19 +21,21 @@ never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
 nothing, it ends the run ``stalled`` (see ``run``).
 
 One kind dispatch in ``step_block`` gives phi's (nu, L), the cost
-u -> B_phi(u, x_i^k) and its gradient grad phi(u) - grad phi(x_i^k); the inner
-objective is one expression of these for every kind. A built-in step reads its
-weight alpha_k and (nu, L) directly: they are the constants the ``bregman``
-factories declare, and a test pins them equal. It pays (alpha_k/2)||d||^2, or 0
-for Exact, with gradient alpha_k d, read from the step d = x_i^{k+1} - x_i^k;
-a Linearized step subtracts H's own Bregman distance from it once, after the
-update. Only a Custom step builds a generator, by ``make_generator``, which
-``bam check`` also calls. The inner solver and a linearization generator see H
-as a function of block i's bare array through ``_frozen_partial``: the
-coupling's ``restrict``, else ``with_block`` closures. ``step_block`` evaluates
-one update once into a ``BlockStep``; ``run`` carries H and the f_i between
-updates and passes the corrections c_i, and the last block's grad_n H(x^{k+1})
-when its step has it, to ``diagnostics.subgradient_residual``.
+B_phi(u, x_i^k) and its gradient grad phi(u) - grad phi(x_i^k), both functions
+of u and d = u - x_i^k; the inner objective, the Bregman cost paid and the
+correction are each one expression of these for every kind, the last two
+taking the step's own d. A built-in step reads its weight alpha_k and (nu, L)
+directly: they are the constants the ``bregman`` factories declare, and a test
+pins them equal. Its cost is (alpha_k/2)||d||^2, or 0 for Exact, with
+gradient alpha_k d; a Linearized step subtracts H's own Bregman distance from
+it once, after the update. Only a Custom step builds a generator, by
+``make_generator``, which ``bam check`` also calls. The inner solver and a
+linearization generator see H as a function of block i's bare array through
+``_frozen_partial``: the coupling's ``restrict``, else ``with_block``
+closures. ``step_block`` evaluates one update once into a ``BlockStep``;
+``run`` carries H and the f_i between updates and passes the corrections c_i,
+and the last block's grad_n H(x^{k+1}) when its step has it, to
+``diagnostics.subgradient_residual``.
 """
 
 from __future__ import annotations
@@ -320,24 +322,19 @@ def step_block(
     anchor = x.block(i)
     term = p.terms[i]
     kind, L_i = strategy.kind, None
-    # The one kind dispatch: (nu, L) of phi, the cost u -> B_phi(u, x_i^k) and its
-    # gradient grad phi(u) - grad phi(x_i^k), without a Linearized phi's frozen -H part
+    # The one kind dispatch: (nu, L) of phi, the cost B_phi(u, x_i^k) and its gradient
+    # grad phi(u) - grad phi(x_i^k) as functions of u and d = u - x_i^k, without a
+    # Linearized phi's frozen -H part
     if kind == "custom":
         gen = make_generator(strategy, p, x, i, k)
         nu, lip, g_anchor = gen.modulus_nu, gen.lipschitz_L, _vec(gen.gradient(anchor))
-        cost, cost_grad = (lambda u: bregman_distance(gen, u, anchor),
-                           lambda u: _vec(gen.gradient(u)) - g_anchor)
+        cost, cost_grad = (lambda u, d: bregman_distance(gen, u, anchor),
+                           lambda u, d: _vec(gen.gradient(u)) - g_anchor)
     else:  # phi = (w/2)||u||^2, minus the frozen H when Linearized: its factory's (nu, L)
         w, L_i = (0.0, None) if kind == "exact" else _resolve_alpha(strategy, p, x, i)
         shift = L_i if kind == "linearized" else 0.0
         nu, lip = w - shift, w + shift
-
-        def cost(u):
-            d = u - anchor
-            return 0.5 * w * float(d @ d)
-
-        def cost_grad(u):
-            return w * (u - anchor)
+        cost, cost_grad = lambda u, d: 0.5 * w * float(d @ d), lambda u, d: w * d
 
     if kind == "linearized":
         # the linearization generator turns the subproblem into one prox-gradient step
@@ -353,16 +350,15 @@ def step_block(
         L_i = float(p.coupling.partial_lipschitz(x, i)) if L_i is None else L_i
         h_value, h_grad = _frozen_partial(p, x, i)
         new, flag = inner_exact_min(
-            lambda u: float(h_value(u)) + cost(u),
-            h_grad if kind == "exact" else lambda u: h_grad(u) + cost_grad(u),
+            lambda u: float(h_value(u)) + cost(u, u - anchor),
+            h_grad if kind == "exact" else lambda u: h_grad(u) + cost_grad(u, u - anchor),
             L_i + lip, term.value, term.prox, anchor, cfg.inner_tol, cfg.inner_max_iter,
         )
 
     x_new = x.with_block(i, new)
     h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
     d = new - anchor
-    step_sq = float(d @ d)
-    bregman = cost(new) if kind == "custom" else 0.5 * w * step_sq
+    step_sq, bregman = float(d @ d), cost(new, d)
     if kind == "linearized":  # phi also subtracts H, the other blocks frozen
         bregman -= h_new - h - float(g @ d)
     if not math.isfinite(bregman):
@@ -381,7 +377,7 @@ def step_block(
     g_new = None
     if kind != "linearized":
         g = g_new = _vec(p.coupling.partial_grad(x_new, i))
-    c = (-cost_grad(new) if kind == "custom" else (-w) * d) - g
+    c = -cost_grad(new, d) - g
     return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, step_sq, c, g_new)
 
 

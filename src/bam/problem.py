@@ -8,14 +8,16 @@ give the problem's block ids and sizes. The empirical Lipschitz estimators
 that test a problem's declared constants are in ``diagnostics``.
 
 Every built-in H is one least-squares coupling ||sum_i A_i x_i||^2 from
-``_least_squares``, with ``restrict`` and one exact-step rule, a prox of f_i,
-for every block with A_i^T A_i = s_i I:
+``_least_squares``, which owns H, its gradients, ``restrict`` and one
+exact-step rule, a prox of f_i, for every block with A_i^T A_i = s_i I; each
+family gives only its A, as functions of the block arrays and of r:
 
 * ``sparse_group``  -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2} with a
   seeded Gaussian A and A_z = -I; the exact z step is groupwise shrinkage.
 * ``multiblock_quadratic`` -- n >= 3 scalar blocks coupled pairwise,
   sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2: H = ||D x||^2 with one
-  row sqrt(c_ij) (e_i - e_j) per pair; a dense solve gives the minimizer.
+  row sqrt(c_ij) (e_i - e_j) per pair, D kept implicit; a dense solve gives
+  the minimizer.
 * ``separable_quadratic`` -- (y-1)^2 + (y-z)^2 + (z+1)^2, the same on two
   blocks (c_yz = 1, t = (1, -1)); minimizer (1/3, -1/3), value 4/3. Its
   ``_badgrad`` variant adds a +0.1 fault to grad_y H and drops ``restrict``.
@@ -55,8 +57,8 @@ class CouplingOracle:
 
     Oracle results, ``restrict``'s included, may be shared read-only arrays:
     callers must not write into them (copy first). The built-in couplings keep
-    their products in ``_memo``s keyed on the iterate, one of its block arrays
-    or a kept product (``_least_squares``).
+    their products in ``_memo``s keyed on the iterate, its ``arrays`` tuple, one
+    of its block arrays or a kept product (``_least_squares``).
     """
 
     value: Callable[[BlockVector], float]
@@ -191,73 +193,54 @@ def _sq(r: Array) -> float:
     return float(r @ r)
 
 
-def _least_squares(A: Array, prox: Sequence[Callable], minus_identity: bool = False):
-    """H = ||r||^2 for r = sum_i A_i x_i, as (coupling, exact, L).
+def _least_squares(forward, adjoint, s, cross, prox):
+    """H = ||r||^2 for the residual r = forward(arrays) = sum_i A_i x_i, as
+    (coupling, exact); ``arrays`` are an iterate's block arrays.
 
-    With ``minus_identity`` the blocks are y and z, A_y = A and A_z = -I;
-    else block i is a scalar and A_i is column i of A. r is kept on the
-    iterate, A y on the y array (shared by iterates that differ only in z),
-    and 2 A^T r on r. L_i = 2||A_i||^2 (lam_max of A's smaller Gram matrix for
-    y); a non-finite one raises ParameterError. ``restrict`` covers every block.
-    ``exact(x, i, alpha)`` is the step of z and of each scalar, the blocks with
-    A_i^T A_i = s_i I: u = prox[i](v, 1/(2 s_i + alpha)) for
-    v = (-2 A_i^T r_{-i} + alpha x_i)/(2 s_i + alpha), r_{-i} formed from the
-    other blocks, not as r - A_i x_i, whose subtraction rounds: -A_i^T r_{-i}
-    is A y for z and, for a scalar, row i of -A^T A off its diagonal times x.
+    The caller gives A: adjoint(r, i) = 2 A_i^T r, s[i] = ||A_i||^2 (L_i = 2 s_i;
+    a non-finite one raises ParameterError) and, for the blocks with
+    A_i^T A_i = s_i I, a prox[i] (None elsewhere) and cross(arrays, i) =
+    -A_i^T r_{-i}, formed from the other blocks, not as r - A_i x_i, whose
+    subtraction rounds. r is kept on the iterate and each read-only grad_i H,
+    once asked for, on r. ``restrict`` covers every block. ``exact(x, i,
+    alpha)`` is u = prox[i](v, 1/(2 s_i + alpha)) for v = (2 cross + alpha
+    x_i)/(2 s_i + alpha); a block without a prox raises ParameterError.
     """
-    AT = A.T
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        if minus_identity:
-            gram = A @ AT if A.shape[0] <= A.shape[1] else AT @ A
-            s = [float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf, 1.0]
-        else:
-            G = -(AT @ A)
-            s = (-G.diagonal()).tolist()
-            np.fill_diagonal(G, 0.0)
-    L = [2.0 * si for si in s]  # s_i = ||A_i||^2
+    L = [2.0 * si for si in s]
     if not all(map(math.isfinite, L)):
         raise ParameterError(f"A is too large: the L_i = 2*lam_max(A_i^T A_i) are {L}, not all finite")
+    residual = _memo(lambda x: forward(x.arrays))
+    kept = _memo(lambda r: [None] * len(s))
 
-    # the blocks A multiplies as one array (y, or the flat iterate), and r
-    a_times = _memo(lambda xa: A @ xa)
-    stacked = _memo(lambda x: x.block(0) if minus_identity else x.to_flat())
-    residual = _memo(lambda x: a_times(stacked(x)) - x.block(1) if minus_identity else a_times(stacked(x)))
-
-    @_memo
-    def two_at_kept(r: Array) -> Array:
-        g = 2.0 * (AT @ r)
-        g.setflags(write=False)
+    def partial_grad(x: BlockVector, i: int) -> Array:
+        r = residual(x)
+        grads = kept(r)
+        g = grads[i]
+        if g is None:  # a thread racing here computes the same floats
+            g = adjoint(r, i)
+            g.setflags(write=False)
+            grads[i] = g
         return g
-
-    def grad_of(r: Array, i: int, kept: bool = False) -> Array:  # grad_i H at the residual r
-        if minus_identity and i == 1:
-            return -2.0 * r
-        g = two_at_kept(r) if kept else 2.0 * (AT @ r)
-        return g if minus_identity else g[i:i + 1]
 
     # the same float operations as value and partial_grad on x.with_block(i, u)
     def restrict(x: BlockVector, i: int):
         head, tail = x.arrays[:i], x.arrays[i + 1:]
-
-        def residual_at(u: Array) -> Array:
-            if minus_identity:
-                return A @ u - tail[0] if i == 0 else a_times(head[0]) - u
-            return A @ np.concatenate(head + (u,) + tail)
-
-        return lambda u: _sq(residual_at(u)), lambda u: grad_of(residual_at(u), i)
+        return (lambda u: _sq(forward(head + (u,) + tail)),
+                lambda u: adjoint(forward(head + (u,) + tail), i))
 
     def exact(x: BlockVector, i: int, alpha: float) -> Array:
-        c = a_times(x.block(0)) if minus_identity else G[i] @ stacked(x)  # -A_i^T r_{-i}
+        if prox[i] is None:
+            raise ParameterError(f"block {i} has no exact step: A_i^T A_i is not a multiple of I")
         den = 2.0 * s[i] + alpha
-        return prox[i]((2.0 * c + alpha * x.block(i)) / den, 1.0 / den)
+        return prox[i]((2.0 * cross(x.arrays, i) + alpha * x.block(i)) / den, 1.0 / den)
 
     coupling = CouplingOracle(
         value=lambda x: _sq(residual(x)),
-        partial_grad=lambda x, i: grad_of(residual(x), i, kept=True),
+        partial_grad=partial_grad,
         partial_lipschitz=lambda x, i: L[i],
         restrict=restrict,
     )
-    return coupling, exact, L
+    return coupling, exact
 
 
 def build_sparse_group_instance(
@@ -274,9 +257,9 @@ def build_sparse_group_instance(
     A is n2 x n1 with i.i.d. standard normal entries drawn from ``seed``
     (or supplied explicitly for reproducibility; a supplied A must be finite).
     H is ``_least_squares`` with A_y = A and A_z = -I, so L1 = 2*lam_max(A^T A),
-    L2 = 2, and the exact z step is groupwise shrinkage of
-    (2Ay + alpha*z_k)/(2+alpha) by lam2/(2+alpha). ``groups`` must partition
-    range(n2) (``prox.validate_groups``).
+    from an eigensolve of the smaller Gram matrix, L2 = 2, and the exact z
+    step is groupwise shrinkage of (2Ay + alpha*z_k)/(2+alpha) by
+    lam2/(2+alpha). ``groups`` must partition range(n2) (``prox.validate_groups``).
     """
     if n1 < 1 or n2 < 1:
         raise ParameterError("n1 and n2 must be >= 1")
@@ -293,17 +276,25 @@ def build_sparse_group_instance(
     else:
         A = np.random.default_rng(seed).standard_normal((n2, n1))
 
-    prox = (lambda v, tau: soft_threshold(v, tau * lambda1),
-            lambda v, tau: group_shrink(v, gid, tau * lambda2))
-    coupling, exact, (L1, L2) = _least_squares(A, prox, minus_identity=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _least_squares
+        gram = A @ A.T if n2 <= n1 else A.T @ A
+        lam_max = float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
+
+    a_times, AT = _memo(A.__matmul__), A.T  # A y kept on y: iterates differing in z share it
+    z_prox = lambda v, tau: group_shrink(v, gid, tau * lambda2)
+    coupling, exact = _least_squares(
+        lambda arrays: a_times(arrays[0]) - arrays[1],
+        lambda r, i: 2.0 * (AT @ r) if i == 0 else -2.0 * r,
+        (lam_max, 1.0), lambda arrays, i: a_times(arrays[0]), (None, z_prox),
+    )
     term_y = BlockTerm(
         value=lambda u: lambda1 * float(np.sum(np.abs(u))),
-        prox=prox[0],
+        prox=lambda v, tau: soft_threshold(v, tau * lambda1),
         subdiff_certificate=l1_certificate(lambda1),
     )
     term_z = BlockTerm(
         value=lambda u: lambda2 * float(np.sum(group_norms(u, gid))),
-        prox=prox[1],
+        prox=z_prox,
         exact_coupled_min=exact,
         subdiff_certificate=group_l2_certificate(lambda2, gid),
     )
@@ -323,9 +314,9 @@ def build_sparse_group_instance(
             "groups": [list(map(int, g)) for g in groups],
             "lambda1": lambda1,
             "lambda2": lambda2,
-            "L1": L1,
-            "L2": L2,
-            "cross_lipschitz": 2.0 * math.sqrt(0.5 * L1),
+            "L1": 2.0 * lam_max,
+            "L2": 2.0,
+            "cross_lipschitz": 2.0 * math.sqrt(lam_max),
         },
     )
 
@@ -341,19 +332,30 @@ def _coupled_quadratic(name: str, block_ids: Sequence[str], C: Array, t: Array) 
     problem ``name`` with one block per id in ``block_ids``, started at 0.
 
     H is ``_least_squares`` on ||D x||^2, D with one row sqrt(c_ij) (e_i - e_j)
-    per pair i < j. The global minimizer solves the positive-definite system
+    per pair i < j, kept implicit in O(n^2) like C: r over the pairs, 2 A_i^T r
+    from the pairs that hold i, -A_i^T r_{-i} = C[i] @ x, s_i = row i's sum.
+    The global minimizer solves the positive-definite system
     (I + Laplacian(C)) x = t; the metadata holds it with ``phi_star``,
     ``couplings`` C, ``targets`` t and ``cross_lipschitz``.
     """
     first, second = _pairs(t.size)
     root = np.sqrt(C[first, second])
-    D = np.zeros((root.size, t.size))
-    D[np.arange(root.size), first] = root
-    D[np.arange(root.size), second] = -root
+    # row i: 2 A_i^T as n entries, the residual index of each pair (i, j) and its weight
+    at, weight = np.zeros(C.shape, np.intp), np.zeros(C.shape)
+    at[first, second] = at[second, first] = np.arange(root.size)
+    weight[first, second], weight[second, first] = 2.0 * root, -2.0 * root
+    row_sum = C.sum(axis=1)
+    flat = _memo(np.concatenate)  # the flat iterate, kept on its arrays
+
+    def forward(arrays):
+        xs = flat(arrays)
+        return root * (xs[first] - xs[second])
+
     targets = t.tolist()
     prox = [lambda v, tau, ti=ti: (np.asarray(v, dtype=float) + 2.0 * tau * ti) / (1.0 + 2.0 * tau)
             for ti in targets]
-    coupling, exact, _ = _least_squares(D, prox)
+    coupling, exact = _least_squares(forward, lambda r, i: weight[i:i + 1] @ r[at[i]],
+                                     row_sum.tolist(), lambda arrays, i: C[i] @ flat(arrays), prox)
     terms = tuple(
         BlockTerm(
             value=lambda u, ti=ti: float((u[0] - ti) ** 2),
@@ -364,7 +366,6 @@ def _coupled_quadratic(name: str, block_ids: Sequence[str], C: Array, t: Array) 
         for i, ti in enumerate(targets)
     )
 
-    row_sum = C.sum(axis=1)
     minimizer = np.linalg.solve(np.diag(1.0 + row_sum) - C, t)
     prob = Problem(
         name=name,

@@ -22,7 +22,11 @@ from bam.diagnostics import (
 )
 from bam.driver import IterateTrace, SolverConfig, SweepRecord, resolve_strategy_preset, run
 from bam.errors import ParameterError
-from bam.problem import build_multiblock_quadratic, build_separable_quadratic_badgrad
+from bam.problem import (
+    build_multiblock_quadratic,
+    build_separable_quadratic_badgrad,
+    build_sparse_group_instance,
+)
 
 from conftest import make_underdeclared_problem, mixed_point_corrections
 
@@ -256,6 +260,18 @@ class TestGradcheck:
     def test_passes_on_builtin_problems(self, sep_quad, sparse_group, multiblock):
         for p in (sep_quad, sparse_group, multiblock):
             assert gradcheck(p, p.default_x0).passed
+
+    def test_rounding_excuses_only_coordinates_that_would_fail(self):
+        """On sparse_group with A 300x400, H at the probes is about 1e5, and its
+        rounding moves a few difference quotients on small gradients by more
+        than the tolerance (a check without the rounding rule reads fail here,
+        worst 2.3e-6). Only those are unresolved: every other coordinate is
+        judged, all pass, and the check reads inconclusive, not fail."""
+        p = build_sparse_group_instance(400, 300, [list(range(k, k + 5)) for k in range(0, 300, 5)],
+                                        seed=7)
+        rep = gradcheck(p, p.default_x0)
+        assert rep.status == "inconclusive" and rep.note
+        assert 0.0 < rep.worst_violation <= rep.details["tol"]
 
     def test_localizes_a_seeded_gradient_fault(self):
         p = build_separable_quadratic_badgrad()

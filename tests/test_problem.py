@@ -38,16 +38,18 @@ MULTIBLOCK_5 = build_multiblock_quadratic(5, seed=2)
 MULTIBLOCK_16 = build_multiblock_quadratic(16, seed=7)
 
 
-def pair_matrix(C):
-    """D with one row sqrt(c_ij) (e_i - e_j) per pair i < j, in row order: H = ||D x||^2."""
-    n = C.shape[0]
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = np.zeros(n)
-            row[i], row[j] = np.sqrt(C[i, j]), -np.sqrt(C[i, j])
-            rows.append(row)
-    return np.array(rows)
+def pair_products(C, xs):
+    """The residual r of H = ||D x||^2, one sqrt(c_ij) (x_i - x_j) per pair i < j in
+    row order, and each block's 2 A_i^T r: its n-term row of +-2 sqrt(c_ij) against
+    the residual entries of the pairs that hold it (0 for itself)."""
+    n = len(xs)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    r = np.array([np.sqrt(C[i, j]) * (xs[i] - xs[j]) for i, j in pairs])
+    at, weight = np.zeros((n, n), dtype=np.intp), np.zeros((n, n))
+    for k, (i, j) in enumerate(pairs):
+        at[i, j] = at[j, i] = k
+        weight[i, j], weight[j, i] = 2.0 * np.sqrt(C[i, j]), -2.0 * np.sqrt(C[i, j])
+    return r, np.concatenate([weight[i:i + 1] @ r[at[i]] for i in range(n)])
 
 
 def fd_partial(p, x, i, j, h=1e-6):
@@ -103,9 +105,9 @@ class TestSeparableQuadratic:
             assert u == pytest.approx(ref, abs=1e-4)
 
 
-def assert_oracles_hold_under_threads(p, points, expected, block, seconds=0.5):
-    """Six threads evaluate H and grad_block H on ``points`` in turn, switching
-    every microsecond, and must each get the ``expected`` (value, gradient)."""
+def assert_oracles_hold_under_threads(p, points, expected, block, seconds):
+    """Six threads evaluate H and grad_block H on ``points`` in turn for ``seconds``,
+    switching every microsecond, and must each get the ``expected`` (value, gradient)."""
     mismatches = []
     start = threading.Barrier(6)
 
@@ -212,9 +214,9 @@ class TestSparseGroup:
                 )
 
     def test_cached_products_hold_under_threads(self):
-        """Threads sharing one instance, switching every microsecond for half a
-        second, each get the products of their own iterate: on sparse_group,
-        and on the 16-block coupled quadratic."""
+        """Threads sharing one instance, switching every microsecond, each get
+        the products of their own iterate: for one second on sparse_group, and
+        for half a second on the 16-block coupled quadratic."""
         p = build_sparse_group_instance(50, 40, GROUPS_8x5, seed=7)
         A = p.metadata["A"]
         rng = np.random.default_rng(9)
@@ -226,19 +228,18 @@ class TestSparseGroup:
         for x in points:
             r = A @ x.block(0) - x.block(1)
             expected.append((float(r @ r), 2.0 * (A.T @ r)))
-        assert_oracles_hold_under_threads(p, points, expected, block=0)
+        assert_oracles_hold_under_threads(p, points, expected, block=0, seconds=1.0)
 
         q = build_multiblock_quadratic(16, seed=7)
-        D = pair_matrix(q.metadata["couplings"])
         x0 = q.default_x0
         x_a = x0.with_block(3, rng.standard_normal(1))
         points = [x0, x_a, x0.with_block(9, rng.standard_normal(1)),
                   x_a.with_block(9, rng.standard_normal(1))]  # pairs share all but one block
         expected = []
         for x in points:
-            r = D @ x.to_flat()
-            expected.append((float(r @ r), (2.0 * (D.T @ r))[9:10]))
-        assert_oracles_hold_under_threads(q, points, expected, block=9)
+            r, g = pair_products(q.metadata["couplings"], x.to_flat())
+            expected.append((float(r @ r), g[9:10]))
+        assert_oracles_hold_under_threads(q, points, expected, block=9, seconds=0.5)
 
     def test_gradient_is_a_shared_read_only_array(self, sparse_group):
         x = sparse_group.default_x0.with_block(0, np.ones(50))
@@ -248,7 +249,7 @@ class TestSparseGroup:
         with pytest.raises(ValueError):
             g[0] = 1.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["generated", "supplied", "separable", "multiblock 5", "multiblock 16"]),
            st.integers(0, 15), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
     def test_restrict_equals_the_generic_oracles(self, sparse_group, which, block, seed, scale):
@@ -336,8 +337,8 @@ class TestMultiblockQuadratic:
         """H, every partial gradient and every exact step match a direct numpy
         evaluation of H = ||D x||^2 after x1, then x2, then both blocks change."""
         p = build_multiblock_quadratic(5, seed=2)
-        D, t = pair_matrix(p.metadata["couplings"]), p.metadata["targets"]
-        gram = D.T @ D
+        C, t = p.metadata["couplings"], p.metadata["targets"]
+        row_sum = C.sum(axis=1)
         rng = np.random.default_rng(5)
         x = p.default_x0
         points = [x]
@@ -347,32 +348,30 @@ class TestMultiblockQuadratic:
             points.append(x)
         for x in points:
             xs = np.concatenate(x.arrays)
-            r = D @ xs
+            r, g = pair_products(C, xs)
             assert p.coupling.value(x) == float(r @ r)
-            g = 2.0 * (D.T @ r)
             for i in range(p.n_blocks):
                 np.testing.assert_array_equal(p.coupling.partial_grad(x, i), g[i:i + 1])
-                off = -gram[i]
-                off[i] = 0.0
                 for alpha in (0.0, 1.0):
-                    # the prox of (u - t_i)^2 at (-2 A_i^T r_{-i} + alpha x_i)/den, step 1/den
-                    den = 2.0 * gram[i, i] + alpha
-                    v, tau = (2.0 * (off @ xs) + alpha * xs[i:i + 1]) / den, 1.0 / den
+                    # the prox of (u - t_i)^2 at (-2 A_i^T r_{-i} + alpha x_i)/den, step 1/den,
+                    # with -A_i^T r_{-i} = C[i] @ x and ||A_i||^2 = row i's sum
+                    den = 2.0 * row_sum[i] + alpha
+                    v, tau = (2.0 * (C[i] @ xs) + alpha * xs[i:i + 1]) / den, 1.0 / den
                     u = (v + 2.0 * tau * t[i]) / (1.0 + 2.0 * tau)
                     np.testing.assert_array_equal(p.terms[i].exact_coupled_min(x, i, alpha), u)
 
     def test_one_flat_array_per_block_update(self, monkeypatch):
         """Steady-state am sweeps on 16 blocks build the iterate's flat array
         once per block update: H, grad_i H and the next exact step share it."""
-        p = build_multiblock_quadratic(16, seed=7)
         calls = []
-        to_flat = BlockVector.to_flat
+        concatenate = np.concatenate
 
-        def counted(x):
-            calls.append(x)
-            return to_flat(x)
+        def counted(arrays, *args, **kwargs):
+            calls.append(arrays)
+            return concatenate(arrays, *args, **kwargs)
 
-        monkeypatch.setattr(BlockVector, "to_flat", counted)
+        monkeypatch.setattr(np, "concatenate", counted)
+        p = build_multiblock_quadratic(16, seed=7)  # keeps the counted concatenate
         after_sweep = []
         cfg = SolverConfig(max_outer_iter=6, residual_tol=0.0, step_tol=0.0)
         run(p, resolve_strategy_preset("am", 16), cfg, p.default_x0,
@@ -397,6 +396,12 @@ def test_exact_step_meets_its_optimality_condition(sparse_group, which, block, a
     u = np.asarray(term.exact_coupled_min(x, i, alpha))
     g = np.asarray(p.coupling.partial_grad(x.with_block(i, u), i)) + alpha * (u - x.block(i))
     assert term.subdiff_certificate(u, g) <= 1e-9 * (1.0 + np.linalg.norm(u))
+
+
+def test_exact_step_refuses_a_block_it_does_not_cover(sparse_group):
+    """sparse_group's y block is a full matrix (A_y^T A_y is not s I): the shared rule raises."""
+    with pytest.raises(ParameterError, match="no exact step"):
+        sparse_group.terms[1].exact_coupled_min(sparse_group.default_x0, 0, 1.0)
 
 
 def test_badgrad_drops_restrict():
