@@ -189,8 +189,11 @@ def subgradient_residual(
         c_i = grad phi_i^k(x_i^k) - grad phi_i^k(x_i^{k+1}) - grad_i H(mixed_i)
 
     is ``driver.BlockStep.correction`` and mixed_i, blocks <= i new and > i
-    old, is the point block i's subproblem was solved at. Valid as a
-    subgradient only when the subproblems were solved to tolerance.
+    old, is the point block i's subproblem was solved at. That alone is a
+    subgradient only when the subproblems were solved exactly; ``driver.run``
+    passes c_i + e_i, e_i being an inner solve's certificate
+    (``driver.BlockStep.error``), a subgradient of the block subproblem at
+    x_i^{k+1}, which makes block i a subgradient of Phi for any accepted step.
 
     ``last_grad``, when given, is grad_n H(x^{k+1}) for the last block, which
     the last block's step may already have evaluated (``driver.BlockStep.grad``);
@@ -212,23 +215,30 @@ def check_residual_bound(trace, l_cross: float) -> CheckReport:
 
     L_hat is sqrt(2) * (l_cross + the sweep's largest finite generator
     Lipschitz constant), the constant the residual construction supports.
+    The residual includes the inner solves' certificates e_i; ``details``
+    report the largest sum_i ||e_i|| / ||x^{k+1} - x^k|| over the sweeps that
+    moved (``max_inner_error_ratio``, 0 when no block ran the inner solver).
     """
     tol = 1e-10
     if not trace.records:
         return CheckReport("residual_bound", "inconclusive", note="empty trace")
     worst = -math.inf
     worst_k = -1
+    error_ratio = 0.0
     for rec in trace.records:
-        v = rec.residual - _l_hat(l_cross, [rec]) * math.sqrt(rec.step_norm_sq) - tol
+        step = math.sqrt(rec.step_norm_sq)
+        v = rec.residual - _l_hat(l_cross, [rec]) * step - tol
         if v > worst:
             worst, worst_k = v, rec.k
+        if step > 0.0:
+            error_ratio = max(error_ratio, sum(rec.inner_errors) / step)
     status = "pass" if worst <= 0.0 else "fail"
     return CheckReport(
         "residual_bound",
         status,
         worst_violation=worst,
         worst_iteration=worst_k,
-        details={"l_cross": l_cross},
+        details={"l_cross": l_cross, "max_inner_error_ratio": error_ratio},
     )
 
 
@@ -411,7 +421,9 @@ def check_generator_convexity(gen: BregmanGenerator, dim: int) -> CheckReport:
 @np.errstate(over="ignore", invalid="ignore")
 def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block: int) -> float:
     """Largest ||grad_i H(u) - grad_i H(w)|| / ||u - w|| over ``LIPSCHITZ_PROBES`` pairs,
-    inf when a ratio is not finite (H overflows near x).
+    inf when a ratio is not finite (H overflows near x). A difference whose
+    squared entries overflow, though the entries do not, has its norm taken
+    scaled by its largest entry.
 
     i is ``grad_block``; u and w move block ``vary_block`` of ``x`` by
     standard-normal draws from ``LIPSCHITZ_SEED`` and keep the other blocks at
@@ -428,7 +440,12 @@ def _max_gradient_ratio(p: Problem, x: BlockVector, grad_block: int, vary_block:
         denom = float(np.linalg.norm(du - dw))
         gu = p.coupling.partial_grad(x.with_block(vary_block, base + du), grad_block)
         gw = p.coupling.partial_grad(x.with_block(vary_block, base + dw), grad_block)
-        ratio = float(np.linalg.norm(np.asarray(gu) - np.asarray(gw))) / denom
+        diff = np.asarray(gu) - np.asarray(gw)
+        num = float(np.linalg.norm(diff))
+        if not math.isfinite(num):  # the squares overflow: scale by the largest entry
+            big = float(np.max(np.abs(diff)))
+            num = big * float(np.linalg.norm(diff / big))
+        ratio = num / denom
         worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
     return worst
 

@@ -15,10 +15,13 @@ with the generator phi_i^k chosen by the block's strategy:
 ``step_block`` takes a Linearized step in closed form, an Exact or Augmented
 step by the block's closed-form coupled minimizer when it has one, and any
 other step by ``prox.inner_exact_min`` (FISTA with gradient restart, started
-at x_i^k, stopped on the prox-gradient residual at its extrapolated point,
-never returning a point worse than x_i^k). A sweep with a ``hit-cap`` or
-``ascent-rejected`` block stops ``run`` on neither tolerance; if it moved
-nothing, it ends the run ``stalled`` (see ``run``).
+at x_i^k, stopped on the prox-gradient residual at its extrapolated point once
+it is below ``inner_tol`` or ``INNER_SIGMA``/2 times the distance from x_i^k,
+never returning a point worse than x_i^k). The inner solve's certificate e_i,
+a subgradient of the block subproblem at x_i^{k+1}, is added to the sweep's
+residual, so an inexact solve is never reported as exact. A sweep with a
+``hit-cap`` or ``ascent-rejected`` block stops ``run`` on neither tolerance;
+if it moved nothing, it ends the run ``stalled`` (see ``run``).
 
 One kind dispatch in ``step_block`` gives phi's (nu, L), the cost
 B_phi(u, x_i^k) and its gradient grad phi(u) - grad phi(x_i^k), both functions
@@ -33,8 +36,8 @@ it once, after the update. Only a Custom step builds a generator, by
 linearization generator see H as a function of block i's bare array through
 ``_frozen_partial``: the coupling's ``restrict``, else ``with_block``
 closures. ``step_block`` evaluates one update once into a ``BlockStep``;
-``run`` carries H and the f_i between updates and passes the corrections c_i,
-and the last block's grad_n H(x^{k+1}) when its step has it, to
+``run`` carries H and the f_i between updates and passes the corrections
+c_i + e_i, and the last block's grad_n H(x^{k+1}) when its step has it, to
 ``diagnostics.subgradient_residual``.
 """
 
@@ -60,6 +63,10 @@ from .problem import Problem, phi_value
 from .prox import inner_exact_min
 
 DIVERGENCE_NORM = 1e12
+# an inner solve stops once its prox-gradient residual is at most INNER_SIGMA/2
+# times its distance from x_i^k (or inner_tol), so its certificate has
+# ||e_i|| <= max(INNER_SIGMA ||x_i^{k+1} - x_i^k||, 2 inner_tol)
+INNER_SIGMA = 0.5
 
 
 def is_integer(n) -> bool:
@@ -147,6 +154,9 @@ class SweepRecord:
     inner_flags: tuple[str, ...]
     nu_blocks: tuple[float, ...]
     lip_blocks: tuple[float, ...]
+    # ||e_i|| per block, the inner solve's certificate added to the residual
+    # (0.0 where the step has none: see ``BlockStep.error``)
+    inner_errors: tuple[float, ...] = ()
 
     @property
     def phi_half(self) -> float:
@@ -294,7 +304,10 @@ class BlockStep(NamedTuple):
     at x_i^{k+1}, minus grad_i H at x (at the anchor for Linearized, whose cost
     leaves out phi's -H part). ``grad`` is grad_i H(x) when the step evaluated
     it there (every kind but Linearized, whose gradient is taken before the
-    update), else None.
+    update), else None. ``error`` is the accepted inner solve's certificate
+    e_i, a subgradient of the block subproblem at x_i^{k+1}, so that
+    grad_i H(x) + c_i + e_i is a subgradient of Phi in block i; it is None for
+    a closed-form, Linearized or rejected step.
     """
 
     x: BlockVector
@@ -307,6 +320,7 @@ class BlockStep(NamedTuple):
     step_sq: float
     correction: np.ndarray
     grad: Optional[np.ndarray]
+    error: Optional[np.ndarray]
 
 
 def step_block(
@@ -336,6 +350,7 @@ def step_block(
         nu, lip = w - shift, w + shift
         cost, cost_grad = lambda u, d: 0.5 * w * float(d @ d), lambda u, d: w * d
 
+    error = None
     if kind == "linearized":
         # the linearization generator turns the subproblem into one prox-gradient step
         g = _vec(p.coupling.partial_grad(x, i))
@@ -349,11 +364,14 @@ def step_block(
             )
         L_i = float(p.coupling.partial_lipschitz(x, i)) if L_i is None else L_i
         h_value, h_grad = _frozen_partial(p, x, i)
+        info = {}
         new, flag = inner_exact_min(
             lambda u: float(h_value(u)) + cost(u, u - anchor),
             h_grad if kind == "exact" else lambda u: h_grad(u) + cost_grad(u, u - anchor),
             L_i + lip, term.value, term.prox, anchor, cfg.inner_tol, cfg.inner_max_iter,
+            sigma=INNER_SIGMA, info=info,
         )
+        error = info["error"]
 
     x_new = x.with_block(i, new)
     h_new, f_new = float(p.coupling.value(x_new)), float(term.value(new))
@@ -368,7 +386,7 @@ def step_block(
     # the anchor (where the Bregman term vanishes); reject ascent steps.
     if h_new + f_new + bregman > h + f + 1e-12 * (1.0 + abs(h + f)):
         x_new, new, d, h_new, f_new, bregman, step_sq = x, anchor, np.zeros_like(d), h, f, 0.0, 0.0
-        flag = "ascent-rejected"
+        flag, error = "ascent-rejected", None
     elif not (math.isfinite(h_new) and math.isfinite(f_new)):
         raise EvaluationError(f"block {p.block_ids[i]!r}: non-finite objective")
 
@@ -378,7 +396,7 @@ def step_block(
     if kind != "linearized":
         g = g_new = _vec(p.coupling.partial_grad(x_new, i))
     c = -cost_grad(new, d) - g
-    return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, step_sq, c, g_new)
+    return BlockStep(x_new, nu, lip, flag, h_new, f_new, bregman, step_sq, c, g_new, error)
 
 
 def run(
@@ -425,7 +443,8 @@ def run(
                     phi += f
                 partials.append(phi)
             _, res_norm = _diag.subgradient_residual(
-                p, x, [s.correction for s in steps], last_grad=steps[-1].grad
+                p, x, [s.correction if s.error is None else s.correction + s.error for s in steps],
+                last_grad=steps[-1].grad,
             )
         except EvaluationError:
             res_norm = math.nan
@@ -449,6 +468,8 @@ def run(
                 inner_flags=tuple(s.flag for s in steps),
                 nu_blocks=tuple(s.nu for s in steps),
                 lip_blocks=tuple(s.lip for s in steps),
+                inner_errors=tuple(0.0 if s.error is None else math.sqrt(float(s.error @ s.error))
+                                   for s in steps),
             )
         )
         if callback is not None:
@@ -457,9 +478,10 @@ def run(
         if math.sqrt(norm_sq(x)) > DIVERGENCE_NORM:
             status = "diverged"
             break
-        # a capped or rejected inner solve leaves a residual that is not a
-        # subgradient of Phi, and a rejected one a step that moved nothing,
-        # so neither can end the run as converged
+        # a capped inner solve's residual includes its e_i, so it is a
+        # subgradient of Phi, but e_i is not bounded by the step as the
+        # converged rule bounds it; a rejected step moved nothing and its
+        # residual is not a subgradient. Neither ends the run as converged
         if res_norm <= cfg.residual_tol and trace.records[-1].inner_flag == "ok":
             status = "residual-converged"
             break

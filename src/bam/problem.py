@@ -13,7 +13,8 @@ exact-step rule, a prox of f_i, for every block with A_i^T A_i = s_i I; each
 family gives only its A, as functions of the block arrays and of r:
 
 * ``sparse_group``  -- lam1*||y||_1 + ||Ay - z||^2 + lam2*||z||_{1,2} with a
-  seeded Gaussian A and A_z = -I; the exact z step is groupwise shrinkage.
+  seeded Gaussian A and A_z = -I; the exact z step is groupwise shrinkage,
+  and with one column in A the exact y step is a soft threshold.
 * ``multiblock_quadratic`` -- n >= 3 scalar blocks coupled pairwise,
   sum_{i<j} c_ij (x_i - x_j)^2 + sum_i (x_i - t_i)^2: H = ||D x||^2 with one
   row sqrt(c_ij) (e_i - e_j) per pair, D kept implicit; a dense solve gives
@@ -259,7 +260,9 @@ def build_sparse_group_instance(
     H is ``_least_squares`` with A_y = A and A_z = -I, so L1 = 2*lam_max(A^T A),
     from an eigensolve of the smaller Gram matrix, L2 = 2, and the exact z
     step is groupwise shrinkage of (2Ay + alpha*z_k)/(2+alpha) by
-    lam2/(2+alpha). ``groups`` must partition range(n2) (``prox.validate_groups``).
+    lam2/(2+alpha). With n1 = 1, A^T A = lam_max, and y has an exact step too:
+    soft thresholding of (2A^T z + alpha*y_k)/(2 lam_max + alpha) by
+    lam1/(2 lam_max + alpha). ``groups`` must partition range(n2) (``prox.validate_groups``).
     """
     if n1 < 1 or n2 < 1:
         raise ParameterError("n1 and n2 must be >= 1")
@@ -281,15 +284,20 @@ def build_sparse_group_instance(
         lam_max = float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
 
     a_times, AT = _memo(A.__matmul__), A.T  # A y kept on y: iterates differing in z share it
+    y_prox = lambda v, tau: soft_threshold(v, tau * lambda1)
     z_prox = lambda v, tau: group_shrink(v, gid, tau * lambda2)
+    scalar_y = n1 == 1  # one column: A^T A = lam_max I, so y has an exact step too
     coupling, exact = _least_squares(
         lambda arrays: a_times(arrays[0]) - arrays[1],
         lambda r, i: 2.0 * (AT @ r) if i == 0 else -2.0 * r,
-        (lam_max, 1.0), lambda arrays, i: a_times(arrays[0]), (None, z_prox),
+        (lam_max, 1.0),
+        lambda arrays, i: AT @ arrays[1] if i == 0 else a_times(arrays[0]),
+        (y_prox if scalar_y else None, z_prox),
     )
     term_y = BlockTerm(
         value=lambda u: lambda1 * float(np.sum(np.abs(u))),
-        prox=lambda v, tau: soft_threshold(v, tau * lambda1),
+        prox=y_prox,
+        exact_coupled_min=exact if scalar_y else None,
         subdiff_certificate=l1_certificate(lambda1),
     )
     term_z = BlockTerm(

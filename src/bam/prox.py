@@ -2,14 +2,16 @@
 
 ``inner_exact_min`` is FISTA with gradient-based restart, started at the
 block's anchor. It stops on the prox-gradient residual at the extrapolated
-point, so its objective need not fall at every iterate; its result is never
-worse than the anchor, which it returns flagged "ascent-rejected" otherwise.
+point, either below an absolute tolerance or small against the distance moved
+from the anchor, and can return the subgradient its last step certifies. Its
+objective need not fall at every iterate; its result is never worse than the
+anchor, which it returns flagged "ascent-rejected" otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -79,17 +81,28 @@ def inner_exact_min(
     anchor: Array,
     tol: float,
     max_iter: int,
+    sigma: float = 0.0,
+    info: Optional[dict] = None,
 ) -> tuple[Array, str]:
-    """Accelerated proximal-gradient solve of min_u smooth(u) + f(u), started at ``anchor``.
+    """Accelerated proximal-gradient solve of min_u S(u) + f(u), started at ``anchor``.
 
     FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
-    (O'Donoghue & Candes 2015) and constant step 1/L, L = ``smooth_lipschitz``.
-    Each iteration calls ``smooth_grad`` once, at the extrapolated point y,
-    and takes w = prox(y - grad(y)/L). It stops with "converged" when the
-    prox-gradient residual at y, L*||w - y||, drops to ``tol``, and with
-    "hit-cap" after ``max_iter`` iterations; w is returned. When
-    (y - w).(w - u) > 0, u being the previous w, the momentum restarts
-    (t = 1, y = w).
+    (O'Donoghue & Candes 2015) and constant step 1/L, L = ``smooth_lipschitz``;
+    S is ``smooth_value``. Each iteration calls ``smooth_grad`` once, at the
+    extrapolated point y, and takes w = prox(y - grad S(y)/L). It stops with
+    "converged" when the prox-gradient residual at y, L*||w - y||, drops to
+    max(``tol``, (``sigma``/2)*||w - anchor||), and with "hit-cap" after
+    ``max_iter`` iterations; w is returned. When (y - w).(w - u) > 0, u being
+    the previous w, the momentum restarts (t = 1, y = w).
+
+    The last step certifies w: e = L(y - w) - grad S(y) + grad S(w) lies in
+    the subdifferential of S + f at w, and when L bounds the Lipschitz
+    constant of grad S, ||e|| <= 2L||w - y||, so a "converged" w has
+    ||e|| <= max(2*tol, sigma*||w - anchor||), the relative-error condition of
+    Attouch, Bolte & Svaiter (2013). Given a dict ``info``, the solver stores
+    the number of iterations under "iterations" and e under "error", at the
+    cost of one more gradient, at the returned point; "error" is None when the
+    anchor is returned. sigma = 0 leaves the absolute rule alone.
 
     The objective need not fall at every iterate, but the returned point
     never has a larger total objective than the anchor: when the last w
@@ -99,9 +112,12 @@ def inner_exact_min(
     """
     if f_prox is None:
         raise ParameterError("inner solver needs a prox oracle for the block term")
+    if max_iter < 1 or not sigma >= 0.0:
+        raise ParameterError(f"need max_iter >= 1 and sigma >= 0, got {max_iter!r} and {sigma!r}")
     start = np.array(anchor, dtype=float).ravel()  # a private copy, returned on rejection
     L = max(float(smooth_lipschitz), 1e-12)
     step = 1.0 / L
+    half_sigma = 0.5 * sigma
 
     obj_anchor = float(smooth_value(start)) + float(f_value(start))
     if not math.isfinite(obj_anchor):
@@ -109,18 +125,19 @@ def inner_exact_min(
     u = y = start
     t = 1.0
     flag = "hit-cap"
-    for _ in range(max_iter):
+    for n_iter in range(1, max_iter + 1):
         g = np.asarray(smooth_grad(y), dtype=float).ravel()
         if g.size != y.size:
             raise ShapeError("smooth gradient has wrong dimension")
         w = np.asarray(f_prox(y - step * g, step), dtype=float).ravel()
         d = w - y
         residual = L * math.sqrt(d @ d)
-        if residual <= tol:
+        if not residual < math.inf:  # inf or NaN: w or y overflowed
+            flag = "ascent-rejected"
+            break
+        if residual <= tol or (half_sigma and residual <= half_sigma * _norm(w - start)):
             u, flag = w, "converged"
             break
-        if not residual < math.inf:  # inf or NaN: w or y overflowed
-            return start, "ascent-rejected"
         move = w - u
         if d @ move < 0.0:  # (y - w).(w - u) > 0: the momentum points uphill
             t, y = 1.0, w
@@ -129,9 +146,17 @@ def inner_exact_min(
             y = w + ((t - 1.0) / t_next) * move
             t = t_next
         u = w
-    obj = float(smooth_value(u)) + float(f_value(u))
+    if info is not None:
+        info["iterations"], info["error"] = n_iter, None
+    obj = math.nan if flag == "ascent-rejected" else float(smooth_value(u)) + float(f_value(u))
     if not (math.isfinite(obj) and obj <= obj_anchor):
         # an underestimated L, or extrapolation past the anchor's level set,
         # must not produce an ascent step
         return start, "ascent-rejected"
+    if info is not None:  # d = u - y and g = grad S(y) from the step that gave u
+        info["error"] = np.asarray(smooth_grad(u), dtype=float).ravel() - g - L * d
     return u, flag
+
+
+def _norm(v: Array) -> float:
+    return math.sqrt(v @ v)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import bam.driver as driver
 from bam.cli import main as cli_main
 from bam.diagnostics import (
     check_monotone_descent,
@@ -145,13 +146,36 @@ def test_acceptance_04_exact_convergence(suite):
 
 def test_exact_sparse_group_steps_rarely_hit_the_inner_cap(suite):
     """The y block of sparse_group has no closed form, so am, aam and am-plam
-    solve it with the inner solver: 75 solves, at most 3 of them capped."""
+    solve it with the inner solver: 75 solves, none of them capped."""
     capped = 0
     for preset in ("am", "aam", "am-plam"):
         res = suite["results"][("sparse_group", preset)]
         assert (res.status, res.sweeps) == ("max-iter", SPARSE_EXACT_CFG.max_outer_iter), preset
         capped += sum(r.inner_flags[0] == "hit-cap" for r in res.trace.records)
-    assert capped <= 3
+    assert capped == 0
+
+
+def test_exact_sparse_group_y_solves_stop_on_the_relative_rule(sparse_group, monkeypatch):
+    """The 75 y solves of those runs stop once their error is small against
+    the step: at most 150 gradients per solve on average, the extra one for
+    the certificate included (about 54; the absolute inner_tol alone needs
+    about 513)."""
+    inner, grads = driver.inner_exact_min, []
+
+    def counting(smooth_value, smooth_grad, *args, **kwargs):
+        grads.append(0)
+
+        def grad(u):
+            grads[-1] += 1
+            return smooth_grad(u)
+
+        return inner(smooth_value, grad, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "inner_exact_min", counting)
+    for preset in ("am", "aam", "am-plam"):
+        run(sparse_group, resolve_strategy_preset(preset), SPARSE_EXACT_CFG, sparse_group.default_x0)
+    assert len(grads) == 75
+    assert sum(grads) / len(grads) <= 150
 
 
 @criterion(5, "prox maps agree with grid brute force on 100 seeded cases each")

@@ -582,17 +582,18 @@ class TestCheck:
     def test_probes_near_the_float_limit_are_inconclusive(self, tmp_path, recwarn):
         """An A with 5e153 on its diagonal passes the L1 guard (L1 = 5e307), but
         H near x0 is about 1e307: the gradient check cannot resolve grad_z H in
-        H's rounding, and the y Lipschitz probes overflow. Both read
-        inconclusive, with a note, and nothing warns."""
+        H's rounding and reads inconclusive, with a note. The y Lipschitz
+        probes' gradients stay finite, their difference's norm is taken scaled,
+        and the declared L1 passes. Nothing warns."""
         csv = tmp_path / "A.csv"
         csv.write_text("5e153,1\n1,5e153\n1,1\n")
         problem = {"name": "sparse_group", "parameters": {"n1": 2, "n2": 3, "a_matrix_csv": str(csv)}}
         main(["check", write_config(tmp_path, sep_quad_config(problem=problem)),
               "--out-dir", str(tmp_path), "--quiet"])
         checks = {c["name"]: c for c in read_report(tmp_path)["checks"]}
-        for name in ("gradcheck", "lipschitz_declared[y]"):
-            assert checks[name]["status"] == "inconclusive", checks[name]
-            assert checks[name]["note"]
+        assert checks["gradcheck"]["status"] == "inconclusive", checks["gradcheck"]
+        assert checks["gradcheck"]["note"]
+        assert checks["lipschitz_declared[y]"]["status"] == "pass", checks["lipschitz_declared[y]"]
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 

@@ -181,6 +181,18 @@ class TestResidualBound:
         assert rep.details["l_cross"] == pytest.approx(SAFETY * 2.0, abs=1e-12)
         assert rep.status == "pass"
 
+    @pytest.mark.parametrize("preset", ["plam", "am"])
+    def test_reports_the_largest_inner_error_against_the_step(self, sparse_group, preset):
+        """plam runs no inner solver, so its ratio is 0; am's is the largest
+        sum_i ||e_i|| / ||step|| over the sweeps."""
+        cfg = SolverConfig(max_outer_iter=10, residual_tol=0.0, step_tol=0.0)
+        res = run(sparse_group, resolve_strategy_preset(preset), cfg, sparse_group.default_x0)
+        rep = check_residual_bound(res.trace, l_cross=sparse_group.metadata["cross_lipschitz"])
+        assert rep.passed
+        expected = max(sum(r.inner_errors) / math.sqrt(r.step_norm_sq) for r in res.trace.records)
+        assert rep.details["max_inner_error_ratio"] == expected
+        assert (expected == 0.0) == (preset == "plam")
+
     def test_fails_with_too_small_constant(self):
         # l_cross 0 and generator Lipschitz constants 0 give L_hat = 0
         trace = make_trace(1.0, [make_record(1, (0.9, 0.8), residual=1.0)])
@@ -343,6 +355,17 @@ class TestDeclaredLipschitz:
             assert (rep.name, rep.status) == (f"lipschitz_declared[{bid}]", "fail")
             assert rep.details == {"declared": 1.0, "observed": pytest.approx(10.0, rel=1e-12)}
             assert rep.worst_violation == pytest.approx(9.0, rel=1e-12)
+
+    def test_probe_gradients_whose_squares_overflow_still_decide(self, recwarn):
+        """With 5e153 on A's diagonal the y probe gradients are finite (near
+        1e307) but their difference's squares are not: its norm is taken
+        scaled, the ratio is finite, and the declared L1 = 5e307 passes."""
+        A = np.array([[5e153, 1.0], [1.0, 5e153], [1.0, 1.0]])
+        p = build_sparse_group_instance(2, 3, [[0], [1], [2]], a_matrix=A)
+        rep = check_declared_lipschitz(p, p.default_x0, 0)
+        assert (rep.status, rep.note) == ("pass", "")
+        assert rep.details["observed"] == pytest.approx(5e307, rel=1e-9)
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_passes_on_the_builtin_problems(self, sep_quad, sparse_group, multiblock):
         # the 16-block instance reads a few ulps above its exact declared constants

@@ -651,3 +651,56 @@ def test_custom_factory_is_called_once_per_step(sep_quad):
     res = run(sep_quad, [strategy, strategy], cfg, sep_quad.zeros())
     assert res.sweeps == 5
     assert calls == {(k, i): 1 for k in range(1, 6) for i in range(2)}
+
+
+@pytest.mark.parametrize("strategy", [
+    BlockStrategy("exact"),
+    BlockStrategy("augmented", AlphaRule("constant", 1.0)),
+    SHORTCUT_STRATEGIES["custom"],
+], ids=["am", "aam", "custom"])
+def test_inner_solves_certify_the_residual(sparse_group, monkeypatch, strategy):
+    """Every inner solve's error e_i is a subgradient of its block subproblem at
+    the accepted point, a converged one is bounded by the step, and each
+    recorded residual is ||v + e|| with the recorded ||e_i||."""
+    p = sparse_group
+    steps = []  # (BlockStep, its inner solve or None)
+    inner, stepper = driver.inner_exact_min, driver.step_block
+
+    def recording_inner(smooth_value, smooth_grad, *args, **kwargs):
+        u, flag = inner(smooth_value, smooth_grad, *args, **kwargs)
+        recording_inner.solve = (smooth_grad, u, flag, kwargs["info"]["error"])
+        return u, flag
+
+    def recording_step(*args):
+        recording_inner.solve = None
+        steps.append((stepper(*args), recording_inner.solve))
+        return steps[-1][0]
+
+    monkeypatch.setattr(driver, "inner_exact_min", recording_inner)
+    monkeypatch.setattr(driver, "step_block", recording_step)
+    # at 40 iterations the first y solve converges and the later ones hit the cap
+    cfg = SolverConfig(max_outer_iter=8, residual_tol=0.0, step_tol=0.0, inner_tol=1e-8,
+                       inner_max_iter=40)
+    res = run(p, [strategy, strategy], cfg, p.default_x0)
+    assert res.sweeps == 8 and len(steps) == 16
+    # the y block always runs the inner solver; z only when custom (it has a closed form)
+    assert [solve is not None for _, solve in steps] == [True, strategy.kind == "custom"] * 8
+    assert {solve[2] for _, solve in steps if solve} == {"converged", "hit-cap"}
+    for n, (s, solve) in enumerate(steps):
+        if solve is None:
+            assert s.error is None
+            continue
+        grad, u, flag, e = solve
+        np.testing.assert_array_equal(s.x.block(n % 2), u)
+        assert s.error is e
+        g = grad(u)
+        assert p.terms[n % 2].subdiff_certificate(u, g - e) <= 1e-9 * (1.0 + np.linalg.norm(g))
+        if flag == "converged":
+            bound = max(driver.INNER_SIGMA * math.sqrt(s.step_sq), 2.0 * cfg.inner_tol)
+            assert np.linalg.norm(e) <= bound
+    for rec, (sy, _), (sz, _) in zip(res.trace.records, steps[0::2], steps[1::2]):
+        v, _ = subgradient_residual(p, sz.x, [sy.correction, sz.correction], last_grad=sz.grad)
+        errors = [np.zeros_like(b) if s.error is None else s.error for b, s in zip(v, (sy, sz))]
+        total = [b + e for b, e in zip(v, errors)]
+        assert rec.residual == pytest.approx(math.sqrt(sum(float(b @ b) for b in total)), rel=1e-12)
+        assert rec.inner_errors == tuple(float(np.linalg.norm(e)) for e in errors)

@@ -1,11 +1,13 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bam.driver as driver
 from bam.blockvec import BlockVector
 from bam.driver import SolverConfig, _frozen_partial, resolve_strategy_preset, run
 from bam.diagnostics import estimate_partial_lipschitz
@@ -402,6 +404,22 @@ def test_exact_step_refuses_a_block_it_does_not_cover(sparse_group):
     """sparse_group's y block is a full matrix (A_y^T A_y is not s I): the shared rule raises."""
     with pytest.raises(ParameterError, match="no exact step"):
         sparse_group.terms[1].exact_coupled_min(sparse_group.default_x0, 0, 1.0)
+
+
+@pytest.mark.parametrize("preset", ["am", "aam"])
+def test_one_column_sparse_group_has_an_exact_y_step(monkeypatch, preset):
+    """With n1 = 1, A^T A is a scalar: the y step takes the closed form ("ok"),
+    and it matches the inner solver run to an absolute 1e-14."""
+    p = build_sparse_group_instance(1, 4, [[0, 1], [2, 3]], seed=3)
+    cfg = SolverConfig(max_outer_iter=5, residual_tol=0.0, step_tol=0.0, inner_tol=1e-14)
+    res = run(p, resolve_strategy_preset(preset), cfg, p.default_x0)
+    assert [r.inner_flags for r in res.trace.records] == [("ok", "ok")] * 5
+
+    monkeypatch.setattr(driver, "INNER_SIGMA", 0.0)  # the absolute rule alone
+    inner = replace(p, terms=(replace(p.terms[0], exact_coupled_min=None), p.terms[1]))
+    ref = run(inner, resolve_strategy_preset(preset), cfg, p.default_x0)
+    assert [r.inner_flags for r in ref.trace.records] == [("converged", "ok")] * 5
+    np.testing.assert_allclose(res.final_x.to_flat(), ref.final_x.to_flat(), rtol=0.0, atol=1e-10)
 
 
 def test_badgrad_drops_restrict():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bam.bregman import make_zero_generator
 from bam.errors import EvaluationError, ParameterError
-from bam.problem import build_sparse_group_instance
+from bam.problem import build_sparse_group_instance, l1_certificate
 from bam.prox import (
     group_shrink,
     group_soft_threshold,
@@ -357,6 +357,84 @@ class TestInnerExactMin:
         )
         assert flag == "hit-cap"
         assert calls["n"] == 3  # one gradient per iteration
+
+
+def lasso_subproblem(seed=7, m=30, n=20, lam=0.1):
+    """(smooth, grad, L, f value, f prox, l1 certificate, anchor) of a lasso
+    block subproblem; ``grad`` counts its calls in ``grad.calls``."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    z = rng.standard_normal(m)
+    anchor = rng.standard_normal(n)
+
+    def grad(u):
+        grad.calls += 1
+        return 2.0 * (A.T @ (A @ u - z))
+
+    grad.calls = 0
+    return (lambda u: float((A @ u - z) @ (A @ u - z)), grad,
+            2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1]),
+            lambda u: lam * float(np.sum(np.abs(u))), lambda v, tau: soft_threshold(v, tau * lam),
+            l1_certificate(lam), anchor)
+
+
+class TestInnerCertificate:
+    """The certificate e = L(y - w) - grad S(y) + grad S(w) of the last step and
+    the relative-error stopping rule."""
+
+    @pytest.mark.parametrize("max_iter", [3, 5000])
+    def test_asking_for_the_certificate_keeps_the_iterates(self, max_iter):
+        """sigma = 0 with an ``info`` dict returns the same point and flag, for
+        one more gradient, and counts the iterations."""
+        smooth, grad, L, fval, fprox, _, anchor = lasso_subproblem()
+        u_ref, flag_ref = inner_exact_min(smooth, grad, L, fval, fprox, anchor, 1e-10, max_iter)
+        plain_calls, grad.calls = grad.calls, 0
+        info = {}
+        u, flag = inner_exact_min(smooth, grad, L, fval, fprox, anchor, 1e-10, max_iter,
+                                  sigma=0.0, info=info)
+        np.testing.assert_array_equal(u, u_ref)
+        assert flag == flag_ref == ("hit-cap" if max_iter == 3 else "converged")
+        assert info["iterations"] == plain_calls and grad.calls == plain_calls + 1
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("max_iter", [1, 4, 5000])
+    def test_certificate_is_a_subgradient_at_the_returned_point(self, sigma, max_iter):
+        """e - grad S(u) lies in the subdifferential of f at u, capped or not."""
+        smooth, grad, L, fval, fprox, cert, anchor = lasso_subproblem()
+        info = {}
+        u, flag = inner_exact_min(smooth, grad, L, fval, fprox, anchor, 1e-10, max_iter,
+                                  sigma=sigma, info=info)
+        assert flag in ("converged", "hit-cap")
+        g = grad(u)
+        assert cert(u, g - info["error"]) <= 1e-9 * (1.0 + np.linalg.norm(g))
+
+    def test_relative_rule_bounds_the_certificate_by_the_step(self):
+        """With tol 0, a converged solve stops on the relative rule alone:
+        ||e|| <= sigma ||u - anchor||, after fewer iterations than the absolute rule."""
+        smooth, grad, L, fval, fprox, _, anchor = lasso_subproblem()
+        info, ref = {}, {}
+        u, flag = inner_exact_min(smooth, grad, L, fval, fprox, anchor, 0.0, 5000,
+                                  sigma=0.5, info=info)
+        inner_exact_min(smooth, grad, L, fval, fprox, anchor, 1e-10, 5000, info=ref)
+        assert flag == "converged"
+        assert np.linalg.norm(info["error"]) <= 0.5 * np.linalg.norm(u - anchor)
+        assert info["iterations"] < ref["iterations"]
+        assert np.linalg.norm(ref["error"]) <= 2e-10
+
+    def test_rejected_solve_has_no_certificate(self):
+        # smooth 5u^2 has L = 10; with L declared 1 every step overshoots
+        info = {}
+        u, flag = inner_exact_min(
+            lambda u: 5.0 * float(u @ u), lambda u: 10.0 * u, 1.0,
+            lambda u: 0.0, lambda v, tau: v, np.array([1.0]), 1e-12, 5, sigma=0.5, info=info,
+        )
+        assert (flag, info) == ("ascent-rejected", {"iterations": 5, "error": None})
+
+    @pytest.mark.parametrize("max_iter, sigma", [(0, 0.0), (10, -0.5), (10, math.nan)])
+    def test_bad_cap_or_sigma_is_a_parameter_error(self, max_iter, sigma):
+        with pytest.raises(ParameterError):
+            inner_exact_min(lambda u: 0.0, lambda u: np.zeros(1), 1.0, lambda u: 0.0,
+                            lambda v, tau: v, np.zeros(1), 1e-10, max_iter, sigma=sigma)
 
 
 def test_zero_generator_smoke():

@@ -6,11 +6,13 @@ Usage:  python tools/cli_bytes.py <src-dir>
 ``src`` directory of a checkout). For each of 72 invocations the script prints
 one line: a label, the exit code, the sha256 of ``trace.csv`` and of
 ``report.json`` ("-" for a file that was not written), and then, read from
-``report.json``, the run's status, sweep count and final phi (``%.17g``); for
-``compare``, one such triple per preset, with the sweep count its
+``report.json``, the run's status, sweep count and final phi (``%.17g``) and
+every check that did not pass, as ``name=status`` after ``not-passed=``
+("-" when all passed); for ``compare``, whose report holds no checks, one
+status, sweep count and phi per preset, with the sweep count its
 ``sweeps_to_tol`` ("-" when the preset did not converge). Run it on two
 checkouts and diff the two outputs to see whether a change moved any output
-byte, and by how much it moved phi:
+byte, by how much it moved phi, and which check verdicts it changed:
 
     python tools/cli_bytes.py ../parent/src > before.txt
     python tools/cli_bytes.py src > after.txt
@@ -84,12 +86,16 @@ def digest(path: Path) -> str:
 
 
 def outcome(path: Path) -> str:
-    """Status, sweep count and final phi from a report; per preset for ``compare``."""
+    """Status, sweep count, final phi and the checks that did not pass from a
+    report; status, sweep count and phi per preset for ``compare``."""
     if not path.exists():
         return "-"
     report = json.loads(path.read_text())
     if "summary" not in report:
-        return f"status={report['status']} sweeps={report['sweeps']} phi={report['phi']:.17g}"
+        failed = ",".join(f"{c['name']}={c['status']}" for c in report["checks"]
+                          if c["status"] != "pass")
+        return (f"status={report['status']} sweeps={report['sweeps']} phi={report['phi']:.17g} "
+                f"not-passed={failed or '-'}")
     return " ".join(
         f"{row['preset']}:status={row['status']} sweeps={row['sweeps_to_tol'] or '-'} "
         f"phi={row['final_phi']:.17g}" for row in report["summary"]
